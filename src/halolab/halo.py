@@ -8,12 +8,22 @@ Two strategies fill the one-site halo shell of a DistributionField:
   forwarding is what lets 6 messages deliver all 26 neighbour
   contributions and must not be trimmed to interior-only buffers.
 * non-blocking: 26 direct messages (6 planes, 12 edges, 8 corners), split
-  into a start (post all receives, pack, post sends, no wait of any kind)
-  and an end (drain receives via wait_any, unpack, drain sends).
+  into a start (post all receives, pack and post each send, no wait of
+  any kind) and an end (drain the receives via wait_any, unpacking each
+  one into the halo shell as it arrives, then drain the sends).
 
 Both strategies move exactly the same bytes per exchange and leave
 bit-identical halo shells.  All m components of every boundary site are
 exchanged, corners included, regardless of the velocity model.
+
+HaloBuffers fixes every message of both strategies once per rank: peer,
+message ids, send and halo slices, and a send buffer with the byte view
+that is posted.  A message is packed into its send buffer, posted without
+a copy, copied once by the fabric on delivery and unpacked from the
+received bytes straight into the halo slice; a send buffer is not
+rewritten before its send has completed.  ``pack_group``, ``recv_full``
+and ``unpack_halo_buffers`` keep the same pack and unpack geometry as a
+standalone API over all 26 buffers.
 
 Pack order is canonical: ascending (x, y, z) site order, ascending
 component within a site; buffers are C-ordered slices so this falls out
@@ -26,6 +36,8 @@ exchanges with itself on single-rank-per-dimension periodic grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,32 +117,16 @@ def blocking_message_sites(local_dims):
     return out
 
 
-def _send_slices(local_dims, d):
-    # interior source region for a message travelling toward displacement d
-    out = []
-    for a in range(3):
-        hi = local_dims[a]
-        if d[a] < 0:
-            out.append(slice(1, 2))
-        elif d[a] > 0:
-            out.append(slice(hi, hi + 1))
-        else:
-            out.append(slice(1, hi + 1))
-    return tuple(out)
+def _direct_slices(local_dims):
+    """(send, halo) slices of the 26 direct messages, displacement order.
 
-
-def _halo_slices(local_dims, d):
-    # halo shell region holding the neighbour at displacement d
-    out = []
-    for a in range(3):
-        hi = local_dims[a]
-        if d[a] < 0:
-            out.append(slice(0, 1))
-        elif d[a] > 0:
-            out.append(slice(hi + 1, hi + 2))
-        else:
-            out.append(slice(1, hi + 1))
-    return tuple(out)
+    A message toward d reads the interior layer on the d side (the whole
+    interior along axes where d is 0) and the one from the neighbour at d
+    fills the halo layer beyond that side.
+    """
+    sx, sy, sz = ({-1: slice(1, 2), 0: slice(1, n + 1), 1: slice(n, n + 1)} for n in local_dims)
+    hx, hy, hz = ({-1: slice(0, 1), 0: slice(1, n + 1), 1: slice(n + 1, n + 2)} for n in local_dims)
+    return [((sx[x], sy[y], sz[z]), (hx[x], hy[y], hz[z])) for x, y, z in DISPLACEMENTS]
 
 
 def _stage_send_slices(local_dims, dim, direction):
@@ -173,37 +169,79 @@ def _stage_shape(local_dims, dim, m):
     return (lx + 2, ly + 2, 1, m)
 
 
-class HaloBuffers:
-    """Persistent staging arrays and neighbour tables for one rank's exchanges.
+class Message(NamedTuple):
+    """One message of an exchange, fixed for the life of its HaloBuffers.
 
-    Owns the send/receive buffers for both strategies, the in-flight
-    request bookkeeping, the exchange sequence number used for tags and
-    the instrumentation counters.
+    The send goes to ``peer`` with ``send_id``; the receive from the same
+    peer carries ``recv_id`` and lands in ``halo_slices``, which has the
+    shape of ``buffer``.  ``view`` is the buffer's byte view that is posted.
+    """
+
+    peer: int
+    send_id: int
+    recv_id: int
+    send_slices: tuple
+    halo_slices: tuple
+    buffer: np.ndarray
+    view: memoryview
+
+
+def _message(peer, send_id, recv_id, send_slices, halo_slices, buffer):
+    return Message(peer, send_id, recv_id, send_slices, halo_slices, buffer,
+                   memoryview(buffer).cast("B"))
+
+
+class HaloBuffers:
+    """Persistent staging arrays and message plans for one rank's exchanges.
+
+    ``slices`` holds the (send, halo) slices of all 26 displacements,
+    ``direct`` the active messages of the 26-message exchange in post order
+    (planes, edges, corners) and ``stages`` the active messages of each
+    blocking stage; peers past an open edge are left out.  Also holds
+    the exchange sequence number used for tags and the instrumentation
+    counters.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):
         self.rank = int(rank)
-        self.local_dims = tuple(int(v) for v in local_dims)
+        self.local_dims = dims = tuple(int(v) for v in local_dims)
         self.m = int(m)
         if min(self.local_dims) < 1:
             raise ConfigurationError("local dimensions must be at least 1")
         self.endpoint = endpoint
         self.neighbours = build_neighbour_table(topo, rank)
-        self.send_full = [
-            np.zeros(_extents(self.local_dims, d) + (self.m,)) for d in DISPLACEMENTS
+        self.send_full = [np.zeros(_extents(dims, d) + (self.m,)) for d in DISPLACEMENTS]
+        self.slices = _direct_slices(dims)
+        self.direct = [
+            _message(self.neighbours.full[idx], idx, OPPOSITE_DISPLACEMENT[idx],
+                     *self.slices[idx], self.send_full[idx])
+            for group in GROUPS.values()
+            for idx in group
+            if self.neighbours.full[idx] != NO_NEIGHBOUR
         ]
-        self.recv_full = [
-            np.zeros(_extents(self.local_dims, d) + (self.m,)) for d in DISPLACEMENTS
-        ]
-        self.send_stage = {}
-        self.recv_stage = {}
+        self.stages = []
         for dim in range(3):
-            shape = _stage_shape(self.local_dims, dim, self.m)
+            shape = _stage_shape(dims, dim, self.m)
+            stage = []
             for direction in (BACKWARD, FORWARD):
-                self.send_stage[(dim, direction)] = np.zeros(shape)
-                self.recv_stage[(dim, direction)] = np.zeros(shape)
+                peer = self.neighbours.orthogonal[direction][dim]
+                if peer == NO_NEIGHBOUR:
+                    continue
+                # the halo on this side carries the neighbour's opposite-travel send
+                opposite = FORWARD if direction == BACKWARD else BACKWARD
+                stage.append(_message(
+                    peer, blocking_message_id(dim, direction), blocking_message_id(dim, opposite),
+                    _stage_send_slices(dims, dim, direction),
+                    _stage_halo_slices(dims, dim, direction), np.zeros(shape)))
+            self.stages.append(stage)
         self.seq = 0
         self.counters = ExchangeCounters()
+
+    @cached_property
+    def recv_full(self):
+        """Receive buffers of the standalone pack/unpack API, one per
+        displacement; the exchanges unpack from the received bytes instead."""
+        return [np.zeros(buf.shape) for buf in self.send_full]
 
     def check_field(self, field):
         if field.local_dims != self.local_dims or field.m != self.m:
@@ -212,15 +250,16 @@ class HaloBuffers:
                 f"{self.local_dims}/m={self.m}"
             )
 
-    def _tag(self, seq, message_id):
-        return seq * _TAG_STRIDE + message_id
+    def _next_tag_base(self):
+        base = self.seq * _TAG_STRIDE
+        self.seq += 1
+        return base
 
 
 @dataclass
 class ExchangeToken:
-    """In-flight non-blocking exchange: request arrays plus the tag sequence."""
+    """In-flight non-blocking exchange: its receive and send requests."""
 
-    seq: int
     recv_entries: list = dc_field(default_factory=list)  # (displacement idx, handle)
     send_handles: list = dc_field(default_factory=list)
     finished: bool = False
@@ -234,64 +273,71 @@ def pack_group(field, group, buffers):
     except KeyError:
         raise ValueError(f"unknown group {group!r}; expected planes|edges|corners") from None
     for idx in indices:
-        sl = _send_slices(buffers.local_dims, DISPLACEMENTS[idx])
-        buffers.send_full[idx][...] = field.data[sl]
+        buffers.send_full[idx][...] = field.data[buffers.slices[idx][0]]
 
 
 def unpack_halo_buffers(buffers, field):
     """Write every received direct-message buffer into the halo shell."""
     buffers.check_field(field)
-    for idx, d in enumerate(DISPLACEMENTS):
+    for idx, (_, halo) in enumerate(buffers.slices):
         if buffers.neighbours.full[idx] == NO_NEIGHBOUR:
             continue
-        field.data[_halo_slices(buffers.local_dims, d)] = buffers.recv_full[idx]
+        field.data[halo] = buffers.recv_full[idx]
+
+
+def _post_receives(ep, messages, base):
+    return [ep.post_recv(msg.peer, base + msg.recv_id, len(msg.view)) for msg in messages]
+
+
+def _pack_and_send(ep, data, messages, base, counters):
+    handles = []
+    for msg in messages:
+        msg.buffer[...] = data[msg.send_slices]
+        handles.append(ep.post_send(msg.peer, base + msg.send_id, msg.view))
+        counters.bytes_sent += len(msg.view)
+    counters.recvs += len(messages)
+    counters.sends += len(messages)
+    return handles
+
+
+def _unpack(data, msg, payload):
+    data[msg.halo_slices] = np.frombuffer(payload, dtype=np.float64).reshape(msg.buffer.shape)
 
 
 def exchange_nonblocking_start(field, topo, buffers):
-    """Post the 26 receives, pack per group, post the 26 sends; never waits.
+    """Post the receives, then pack and post each send; never waits.
 
-    Receives go up first so every send can match immediately; sends are
-    posted as soon as their group's buffers are filled.  Returns the token
-    for exchange_nonblocking_end.
+    Receives go up first so every send can match immediately; each send is
+    posted as soon as its buffer is packed, planes first, then edges, then
+    corners.  Returns the token for exchange_nonblocking_end.
     """
     buffers.check_field(field)
-    seq = buffers.seq
-    buffers.seq += 1
+    token = ExchangeToken()
+    base = buffers._next_tag_base()
     ep = buffers.endpoint
-    token = ExchangeToken(seq=seq)
-    doubles = 8 * buffers.m
-    for idx in range(26):
-        src = buffers.neighbours.full[idx]
-        if src == NO_NEIGHBOUR:
-            continue
-        capacity = displacement_sites(buffers.local_dims, DISPLACEMENTS[idx]) * doubles
-        h = ep.post_recv(src, buffers._tag(seq, OPPOSITE_DISPLACEMENT[idx]), capacity)
-        token.recv_entries.append((idx, h))
-        buffers.counters.recvs += 1
-    for group in ("planes", "edges", "corners"):
-        pack_group(field, group, buffers)
-        for idx in GROUPS[group]:
-            dest = buffers.neighbours.full[idx]
-            if dest == NO_NEIGHBOUR:
-                continue
-            payload = buffers.send_full[idx].tobytes()
-            h = ep.post_send(dest, buffers._tag(seq, idx), payload)
-            token.send_handles.append(h)
-            buffers.counters.sends += 1
-            buffers.counters.bytes_sent += len(payload)
+    messages = buffers.direct
+    recvs = _post_receives(ep, messages, base)
+    token.recv_entries = [(msg.send_id, h) for msg, h in zip(messages, recvs)]
+    token.send_handles = _pack_and_send(ep, field.data, messages, base, buffers.counters)
     return token
 
 
 def exchange_nonblocking_end(token, field, buffers):
-    """Drain all receives via repeated wait_any, unpack, then drain the sends."""
+    """Drain the receives via repeated wait_any, unpacking each as it
+    arrives, then drain the sends."""
     buffers.check_field(field)
     if token.finished:
         raise UsageError("exchange token already completed")
     ep = buffers.endpoint
-    recv_handles = [h for _, h in token.recv_entries]
+    data = field.data
+    messages = buffers.direct
+    recvs = [h for _, h in token.recv_entries]
     try:
-        for _ in range(len(recv_handles)):
-            ep.wait_any(recv_handles)
+        for _ in range(len(recvs)):
+            i = ep.wait_any(recvs)
+            payload = recvs[i].payload
+            _unpack(data, messages[i], payload)
+            buffers.counters.bytes_received += len(payload)
     except TransportDeadlock as exc:
         outstanding = sorted(
             HaloNeighbour(idx).name
@@ -302,11 +348,6 @@ def exchange_nonblocking_end(token, field, buffers):
             f"non-blocking end stalled; outstanding receives: {outstanding}",
             pending=exc.pending,
         ) from exc
-    for idx, h in token.recv_entries:
-        staged = buffers.recv_full[idx]
-        staged[...] = np.frombuffer(h.payload, dtype=np.float64).reshape(staged.shape)
-        buffers.counters.bytes_received += len(h.payload)
-    unpack_halo_buffers(buffers, field)
     for _ in range(len(token.send_handles)):
         ep.wait_any(token.send_handles)
     buffers.counters.waits += 1  # one logical completion barrier
@@ -326,47 +367,23 @@ def exchange_blocking(field, topo, buffers):
     whole exchange waits exactly three times.
     """
     buffers.check_field(field)
-    seq = buffers.seq
-    buffers.seq += 1
+    base = buffers._next_tag_base()
     ep = buffers.endpoint
-    orth = buffers.neighbours.orthogonal
-    dims = buffers.local_dims
-    for dim in range(3):
-        recv_entries = []
-        for side in (BACKWARD, FORWARD):
-            src = orth[side][dim]
-            if src == NO_NEIGHBOUR:
-                continue
-            # the halo on this side carries the neighbour's opposite-travel send
-            sender_direction = FORWARD if side == BACKWARD else BACKWARD
-            capacity = buffers.send_stage[(dim, sender_direction)].nbytes
-            h = ep.post_recv(src, buffers._tag(seq, blocking_message_id(dim, sender_direction)), capacity)
-            recv_entries.append((side, h))
-            buffers.counters.recvs += 1
-        send_handles = []
-        for direction in (BACKWARD, FORWARD):
-            dest = orth[direction][dim]
-            if dest == NO_NEIGHBOUR:
-                continue
-            staged = buffers.send_stage[(dim, direction)]
-            staged[...] = field.data[_stage_send_slices(dims, dim, direction)]
-            payload = staged.tobytes()
-            h = ep.post_send(dest, buffers._tag(seq, blocking_message_id(dim, direction)), payload)
-            send_handles.append(h)
-            buffers.counters.sends += 1
-            buffers.counters.bytes_sent += len(payload)
+    data = field.data
+    counters = buffers.counters
+    for dim, messages in enumerate(buffers.stages):
+        recvs = _post_receives(ep, messages, base)
+        sends = _pack_and_send(ep, data, messages, base, counters)
         try:
-            ep.wait_all([h for _, h in recv_entries] + send_handles)
+            ep.wait_all(recvs + sends)
         except TransportDeadlock as exc:
             raise TransportDeadlock(
                 f"blocked in {_STAGE_NAMES[dim]} stage: {exc}", pending=exc.pending
             ) from exc
-        buffers.counters.waits += 1
-        for side, h in recv_entries:
-            staged = buffers.recv_stage[(dim, side)]
-            staged[...] = np.frombuffer(h.payload, dtype=np.float64).reshape(staged.shape)
-            field.data[_stage_halo_slices(dims, dim, side)] = staged
-            buffers.counters.bytes_received += len(h.payload)
+        counters.waits += 1
+        for msg, h in zip(messages, recvs):
+            _unpack(data, msg, h.payload)
+            counters.bytes_received += len(h.payload)
 
 
 def exchange(field, topo, buffers, strategy):

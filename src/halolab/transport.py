@@ -5,9 +5,20 @@ returns immediately with a RequestHandle; a send handle completes only
 once the matching receive has been posted and the payload handed over
 (synchronous semantics), a receive completes when its payload arrives.
 Matching is by (source, tag) at the destination, FIFO per pair, no
-wildcards.  Payloads are byte strings and are copied exactly once at
-delivery, so delivered bytes are bit-identical to the sent bytes and the
-handoff costs one real memcpy.
+wildcards.
+
+A send payload is any object with the buffer protocol (``bytes``,
+``bytearray``, a numpy array, a ``memoryview``).  The fabric keeps a view
+of it, not a copy, so as in MPI the sender must not write the buffer until
+its send handle completes.  Delivery copies the sender's buffer once into
+the receive handle's ``payload``, a ``bytes`` object bit-identical to what
+was sent.  A halo message thus costs pack (field to send buffer), one
+delivery copy and unpack (payload to field).
+
+All fabric state sits under one lock, shared by one condition per rank.
+A post that completes another rank's handle notifies that rank's
+condition only: the destination on ``post_send``, the source on
+``post_recv``.  ``abort`` notifies every rank.
 
 An optional cost model delays completion of every message by
 ``latency + nbytes / bandwidth``; the delays are serialised per sending
@@ -139,7 +150,9 @@ class Fabric:
         self.nranks = nranks
         self.watchdog_seconds = float(watchdog_seconds)
         self.model = model
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        # one condition per rank, woken when a post completes one of its handles
+        self._conds = [threading.Condition(self._lock) for _ in range(nranks)]
         # pending queues keyed by dest, then (source, tag); FIFO per key
         self._sends = {r: {} for r in range(nranks)}
         self._recvs = {r: {} for r in range(nranks)}
@@ -153,10 +166,11 @@ class Fabric:
         return Endpoint(self, rank)
 
     def abort(self, reason):
-        with self._cond:
+        with self._lock:
             if self._aborted is None:
                 self._aborted = str(reason)
-            self._cond.notify_all()
+            for cond in self._conds:
+                cond.notify_all()
 
     def _check_abort(self):
         if self._aborted is not None:
@@ -164,7 +178,7 @@ class Fabric:
 
     def pending_summary(self):
         """All unmatched posted requests as (kind, source, dest, tag)."""
-        with self._cond:
+        with self._lock:
             out = []
             for queues in (self._sends, self._recvs):
                 for per_dest in queues.values():
@@ -194,8 +208,8 @@ class Fabric:
             send_h._error = err
             recv_h._error = err
         else:
-            # one real copy per delivery; bytes(memoryview(...)) forces it
-            recv_h.payload = bytes(memoryview(send_h._send_payload))
+            # the one copy of a message: the sender's buffer into new bytes
+            recv_h.payload = bytes(send_h._send_payload)
         ready = send_h._ready
         if ready is not None and ready < now:
             ready = None
@@ -210,23 +224,24 @@ class Fabric:
             raise ValueError(f"invalid destination rank {dest}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
-        payload = bytes(payload)
-        h = RequestHandle("send", source, dest, tag, nbytes=len(payload))
+        payload = memoryview(payload)
+        h = RequestHandle("send", source, dest, tag, nbytes=payload.nbytes)
         h._send_payload = payload
         key = (source, tag)
-        with self._cond:
+        with self._lock:
             self._check_abort()
             now = perf_counter()
             if self.model is not None:
                 start = max(now, self._pipe_free[source])
-                h._ready = start + self.model.delay(len(payload))
+                h._ready = start + self.model.delay(h.nbytes)
                 self._pipe_free[source] = h._ready
             waiting = self._recvs[dest].get(key)
             if waiting:
                 self._deliver(h, waiting.popleft(), now)
+                if dest != source:  # a rank that posts is not waiting
+                    self._conds[dest].notify_all()
             else:
                 self._sends[dest].setdefault(key, deque()).append(h)
-            self._cond.notify_all()
         return h
 
     def _post_recv(self, dest, source, tag, capacity):
@@ -238,64 +253,77 @@ class Fabric:
             raise ValueError("capacity must be non-negative")
         h = RequestHandle("recv", source, dest, tag, capacity=capacity)
         key = (source, tag)
-        with self._cond:
+        with self._lock:
             self._check_abort()
             now = perf_counter()
             waiting = self._sends[dest].get(key)
             if waiting:
                 self._deliver(waiting.popleft(), h, now)
+                if source != dest:
+                    self._conds[source].notify_all()
             else:
                 self._recvs[dest].setdefault(key, deque()).append(h)
-            self._cond.notify_all()
         return h
 
-    def _wait(self, handles, mode):
-        handles = list(handles)
-        if mode == "any" and not handles:
+    def _wait(self, rank, handles, wait_any):
+        """Block rank until every handle, or with wait_any one unconsumed
+        handle, has completed; wait_any consumes and returns its index.
+
+        Each pass is one scan of the handles under the lock.  Unmatched
+        handles sleep on the rank's condition (woken by the matching post,
+        or polled every 50 ms) under the watchdog; matched handles whose
+        modelled completion lies ahead are spun to outside the lock.
+        """
+        if wait_any and not handles:
             raise UsageError("wait_any needs a non-empty handle list")
-        deadline = time.monotonic() + self.watchdog_seconds
+        cond = self._conds[rank]
+        deadline = None
         while True:
-            spin_target = None
-            with self._cond:
+            with self._lock:
                 self._check_abort()
                 now = perf_counter()
-                if mode == "any":
-                    candidates = [
-                        (i, h) for i, h in enumerate(handles) if not h._consumed
-                    ]
-                    if not candidates:
-                        raise UsageError("every handle was already consumed by wait_any")
-                    for i, h in candidates:
-                        if h._done(now):
+                live = unmatched = False
+                # the earliest (wait_any) or latest modelled completion ahead
+                target = None
+                for i, h in enumerate(handles):
+                    if wait_any:
+                        if h._consumed:
+                            continue
+                        live = True
+                    if h._error is not None:
+                        if wait_any:
                             h._consumed = True
-                            if h._error is not None:
-                                raise h._error
-                            return i
-                    watched = [h for _, h in candidates]
-                else:
-                    for h in handles:
-                        if h._error is not None:
-                            raise h._error
-                    watched = [h for h in handles if not h._done(now)]
-                    if not watched:
-                        return None
-                unmatched = [h for h in watched if not h._matched]
+                        raise h._error
+                    if not h._matched:
+                        unmatched = True
+                    elif h._ready is not None and h._ready > now:
+                        if target is None or (h._ready < target if wait_any else h._ready > target):
+                            target = h._ready
+                    elif wait_any:
+                        h._consumed = True
+                        return i
+                if wait_any and not live:
+                    raise UsageError("every handle was already consumed by wait_any")
                 if unmatched:
+                    if deadline is None:
+                        deadline = time.monotonic() + self.watchdog_seconds
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
-                        pend = sorted(h.triple() for h in unmatched)
+                        pend = sorted(h.triple() for h in handles if not h._matched)
                         raise TransportDeadlock(
                             f"wait timed out after {self.watchdog_seconds:.1f}s; "
                             f"unmatched: {pend}",
                             pending=pend,
                         )
-                    self._cond.wait(min(remaining, 0.05))
+                    timeout = min(remaining, 0.05)
+                    if wait_any and target is not None:
+                        # a matched handle may complete before any post arrives
+                        timeout = min(timeout, target - now)
+                    cond.wait(timeout)
                     continue
-                readies = [h._ready for h in watched if h._ready is not None]
-                if readies:
-                    spin_target = min(readies) if mode == "any" else max(readies)
-            if spin_target is not None:
-                _sleep_until(spin_target)
+                if target is None:
+                    return None
+            _sleep_until(target)
 
 
 class Endpoint:
@@ -309,7 +337,8 @@ class Endpoint:
 
     def post_send(self, dest, tag, payload):
         """Non-blocking synchronous send; completes only after the matching
-        receive has been posted and the payload handed over."""
+        receive has been posted and the payload handed over.  The payload
+        buffer is not copied here: leave it unwritten until the send completes."""
         return self.fabric._post_send(self.rank, dest, tag, payload)
 
     def post_recv(self, source, tag, capacity):
@@ -318,14 +347,14 @@ class Endpoint:
 
     def wait_all(self, handles):
         """Block until every handle in the list has completed."""
-        self.fabric._wait(handles, mode="all")
+        self.fabric._wait(self.rank, handles, wait_any=False)
 
     def wait_any(self, handles):
         """Block until one not-yet-returned handle completes; return its index.
 
         Repeated calls over the same list yield each index exactly once.
         """
-        return self.fabric._wait(handles, mode="any")
+        return self.fabric._wait(self.rank, handles, wait_any=True)
 
 
 def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):

@@ -10,7 +10,12 @@ from halolab.halo import (
     exchange_nonblocking,
     halo_shell,
 )
-from halolab.overlap import OverlapWorkload, step_with_overlap, synthetic_workload
+from halolab.overlap import (
+    OverlapWorkload,
+    _aligned_empty,
+    step_with_overlap,
+    synthetic_workload,
+)
 from halolab.runner import run_ranks
 from halolab.topology import CartesianTopology
 
@@ -128,3 +133,11 @@ class TestStepWithOverlap:
             return True
 
         assert run_ranks(1, body, watchdog_seconds=5.0)[0]
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (16, 16, 16)])
+def test_work_array_is_cache_line_aligned(shape):
+    for _ in range(8):
+        a = _aligned_empty(shape)
+        assert a.shape == shape and a.flags.c_contiguous
+        assert a.ctypes.data % 64 == 0

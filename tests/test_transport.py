@@ -1,13 +1,17 @@
 import hashlib
 import threading
 import time
+from collections import defaultdict, deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from halolab.errors import (
     MessageTruncation,
+    TransportAborted,
     TransportDeadlock,
     UsageError,
 )
@@ -169,6 +173,185 @@ class TestWaits:
         with pytest.raises(TransportDeadlock) as err:
             fabric.assert_drained()
         assert ("send", 0, 1, 4) in err.value.pending
+
+
+class TestWakeUps:
+    """A rank blocked in a wait is woken by the post or abort that concerns it."""
+
+    @staticmethod
+    def _blocked(target):
+        box = {}
+
+        def run():
+            t0 = time.perf_counter()
+            try:
+                box["result"] = target()
+            except Exception as exc:  # handed to the test thread below
+                box["error"] = exc
+            box["elapsed"] = time.perf_counter() - t0
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        time.sleep(0.1)
+        assert thread.is_alive(), box
+        return thread, box
+
+    def test_abort_releases_wait_any_before_the_watchdog(self):
+        fabric, ep0, ep1 = make_pair(watchdog=10.0)
+        rh = ep1.post_recv(0, 3, 8)
+        thread, box = self._blocked(lambda: ep1.wait_any([rh]))
+        fabric.abort("test abort")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert isinstance(box["error"], TransportAborted)
+        assert box["elapsed"] < 2.0
+
+    def test_matching_receive_releases_blocked_sender(self):
+        fabric, ep0, ep1 = make_pair(watchdog=10.0)
+        sh = ep0.post_send(1, 4, b"queued--")
+        thread, box = self._blocked(lambda: ep0.wait_all([sh]))
+        assert sh.state == "pending"
+        rh = ep1.post_recv(0, 4, 8)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert "error" not in box and box["elapsed"] < 2.0
+        assert sh.state == "complete" and rh.payload == b"queued--"
+        fabric.assert_drained()
+
+    def test_post_notifies_only_the_rank_whose_handle_completed(self):
+        # the timed tests above would also pass on the 50 ms poll alone
+        fabric, ep0, ep1 = make_pair()
+        notified = []
+
+        class Recording(threading.Condition):
+            def __init__(self, rank):
+                super().__init__(fabric._lock)
+                self.rank = rank
+
+            def notify_all(self):
+                notified.append(self.rank)
+                super().notify_all()
+
+        fabric._conds = [Recording(0), Recording(1)]
+        ep0.post_send(1, 0, b"a")
+        ep1.post_recv(0, 1, 8)
+        assert notified == []  # nothing matched
+        ep1.post_recv(0, 0, 8)  # completes rank 0's send
+        ep0.post_send(1, 1, b"b")  # completes rank 1's receive
+        assert notified == [0, 1]
+        ep0.post_recv(0, 2, 8)
+        ep0.post_send(0, 2, b"c")  # a self-message wakes no one
+        assert notified == [0, 1]
+        fabric.abort("done")
+        assert notified == [0, 1, 0, 1]
+
+
+class FabricMachine(RuleBasedStateMachine):
+    """Random posts and waits on a 2-rank fabric from one thread.
+
+    A model predicts the FIFO pairing of sends and receives per (source,
+    dest, tag).  Waits only ever name matched handles, so nothing blocks;
+    the short watchdog turns a wrongly pending handle into a failure.
+    Every payload starts with a serial number, so a FIFO slip changes the
+    delivered bytes.
+    """
+
+    ranks = st.integers(0, 1)
+    tags = st.integers(0, 2)
+
+    def __init__(self):
+        super().__init__()
+        self.fabric = Fabric(2, watchdog_seconds=0.5)
+        self.eps = [self.fabric.endpoint(0), self.fabric.endpoint(1)]
+        self.serial = 0
+        self.sends = defaultdict(deque)  # key -> unmatched (handle, bytes, array)
+        self.recvs = defaultdict(deque)  # key -> unmatched (handle, capacity)
+        self.pairs = []  # (send, recv, bytes sent, array or None, truncated)
+        self.fresh = []  # completed handles no wait_any has returned yet
+
+    def _match(self, send, recv):
+        (sh, sent, array), (rh, capacity) = send, recv
+        truncated = len(sent) > capacity
+        self.pairs.append((sh, rh, sent, array, truncated))
+        if not truncated:
+            self.fresh.extend((sh, rh))
+
+    @rule(src=ranks, dest=ranks, tag=tags, body=st.binary(max_size=40), as_array=st.booleans())
+    def post_send(self, src, dest, tag, body, as_array):
+        self.serial += 1
+        array = None
+        if as_array:
+            # an int32 array posted as a plain numpy memoryview: len != nbytes
+            array = np.array([self.serial] + list(body), dtype=np.int32)
+            sent = array.tobytes()
+            payload = memoryview(array)
+        else:
+            sent = payload = self.serial.to_bytes(4, "little") + body
+        sh = self.eps[src].post_send(dest, tag, payload)
+        key = (src, dest, tag)
+        if self.recvs[key]:
+            self._match((sh, sent, array), self.recvs[key].popleft())
+        else:
+            self.sends[key].append((sh, sent, array))
+
+    @rule(dest=ranks, src=ranks, tag=tags, capacity=st.integers(0, 200))
+    def post_recv(self, dest, src, tag, capacity):
+        rh = self.eps[dest].post_recv(src, tag, capacity)
+        key = (src, dest, tag)
+        if self.sends[key]:
+            self._match(self.sends[key].popleft(), (rh, capacity))
+        else:
+            self.recvs[key].append((rh, capacity))
+
+    @precondition(lambda self: self.fresh)
+    @rule(data=st.data(), rank=ranks)
+    def wait_any(self, data, rank):
+        handles = data.draw(st.lists(st.sampled_from(self.fresh), min_size=1, unique=True))
+        ep = self.eps[rank]
+        seen = [ep.wait_any(handles) for _ in handles]
+        assert sorted(seen) == list(range(len(handles)))
+        with pytest.raises(UsageError):
+            ep.wait_any(handles)
+        self.fresh = [h for h in self.fresh if h not in handles]
+
+    @precondition(lambda self: self.pairs)
+    @rule(data=st.data(), rank=ranks)
+    def wait_all(self, data, rank):
+        sh, rh, sent, array, truncated = data.draw(st.sampled_from(self.pairs))
+        ep = self.eps[rank]
+        if truncated:
+            for h in (sh, rh):
+                with pytest.raises(MessageTruncation):
+                    ep.wait_all([h])
+            return
+        ep.wait_all([sh, rh])
+        assert sh.state == rh.state == "complete"
+        if array is not None:
+            array += 1  # the send has completed, so its buffer is the sender's again
+
+    @invariant()
+    def delivered_bytes_equal_sent_bytes(self):
+        for _, rh, sent, _, truncated in self.pairs:
+            assert rh.payload == (None if truncated else sent)
+
+    @invariant()
+    def unmatched_requests_are_the_model_queues(self):
+        expected = [("send", s, d, t) for (s, d, t), q in self.sends.items() for _ in q]
+        expected += [("recv", s, d, t) for (s, d, t), q in self.recvs.items() for _ in q]
+        assert self.fabric.pending_summary() == sorted(expected)
+
+    def teardown(self):
+        # match every leftover request, then shutdown must find nothing pending
+        handles = []
+        for (src, dest, tag), q in self.sends.items():
+            handles.extend(self.eps[dest].post_recv(src, tag, 200) for _ in q)
+        for (src, dest, tag), q in self.recvs.items():
+            handles.extend(self.eps[src].post_send(dest, tag, b"") for _ in q)
+        self.eps[0].wait_all(handles)
+        self.fabric.assert_drained()
+
+
+TestFabricMachine = FabricMachine.TestCase
 
 
 class TestIntegrity:
