@@ -101,6 +101,17 @@ class _RankTiming:
     counters: ExchangeCounters
 
 
+def _lb_step(field, spare, halo, vs, tau):
+    """One step: ``halo(field)``, then, with physics, stream into ``spare``
+    and collide there.  Returns the (field, spare) pair for the next step."""
+    halo(field)
+    if vs is None:
+        return field, spare
+    spare = lattice.stream(field, vs, out=spare)
+    lattice.collide(spare, tau, vs)
+    return spare, field
+
+
 def _bench_body(cfg, topo, local_dims):
     vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
     # any nonzero intensity attaches halo-independent work to every step;
@@ -115,40 +126,30 @@ def _bench_body(cfg, topo, local_dims):
         field = _build_field(cfg, local_dims, ctx.rank, vs)
         alt = lattice.DistributionField(local_dims, cfg.m) if vs is not None else None
         buffers = HaloBuffers(topo, ctx.rank, local_dims, cfg.m, ctx.endpoint)
+        halo_s = 0.0
 
-        def one_step(fld, spare):
-            if workload is not None and cfg.overlap_enabled:
+        def halo(fld):
+            nonlocal halo_s
+            if workload is None:
+                h0 = perf_counter()
+                exchange(fld, topo, buffers, cfg.strategy)
+                halo_s += perf_counter() - h0
+            elif cfg.overlap_enabled:
                 step_with_overlap(fld, topo, buffers, workload)
             else:
                 exchange(fld, topo, buffers, cfg.strategy)
-                if workload is not None:
-                    synthetic_workload(fld, workload.intensity)
-            if vs is not None:
-                spare = lattice.stream(fld, vs, out=spare)
-                fld, spare = spare, fld
-                lattice.collide(fld, cfg.tau, vs)
-            return fld, spare
+                synthetic_workload(fld, workload.intensity)
 
         for _ in range(cfg.warmup):
-            field, alt = one_step(field, alt)
+            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
         buffers.counters.reset()
         ctx.barrier.wait()
-        t_halo = 0.0
+        halo_s = 0.0
         t0 = perf_counter()
-        if workload is not None:
-            # whole-step timing: overlapped work belongs inside the span
-            for _ in range(cfg.iterations):
-                field, alt = one_step(field, alt)
-            t_halo = perf_counter() - t0
-        else:
-            for _ in range(cfg.iterations):
-                h0 = perf_counter()
-                exchange(field, topo, buffers, cfg.strategy)
-                t_halo += perf_counter() - h0
-                if vs is not None:
-                    alt = lattice.stream(field, vs, out=alt)
-                    field, alt = alt, field
-                    lattice.collide(field, cfg.tau, vs)
+        for _ in range(cfg.iterations):
+            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
+        # whole-step timing when work is attached: it belongs inside the span
+        t_halo = perf_counter() - t0 if workload is not None else halo_s
         ctx.barrier.wait()
         t_step = perf_counter() - t0
         return _RankTiming(t_halo, t_step, buffers.counters.snapshot())
@@ -363,11 +364,12 @@ def run_physics(cfg, strategy, steps):
         field = lattice.random_state(local, vs, _rank_rng(cfg, ctx.rank))
         alt = lattice.DistributionField(local, cfg.m)
         buffers = HaloBuffers(topo, ctx.rank, local, cfg.m, ctx.endpoint)
+
+        def halo(fld):
+            exchange(fld, topo, buffers, strategy)
+
         for _ in range(steps):
-            exchange(field, topo, buffers, strategy)
-            alt = lattice.stream(field, vs, out=alt)
-            field, alt = alt, field
-            lattice.collide(field, cfg.tau, vs)
+            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
         return field.data.copy()
 
     return run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,153 @@ class TestStream:
                     ]
         out = stream(f, vs19)
         assert abs(total_mass(out) - mass0) <= 1e-13 * abs(mass0)
+
+
+# -- the kernels as first written, kept as the bit-for-bit reference ----------
+
+
+def _seed_equilibrium(rho, u, vs):
+    rho = np.asarray(rho, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(rho <= 0.0):
+        raise ZeroDensityError("equilibrium needs strictly positive density")
+    eu = u @ vs.e.T.astype(np.float64)
+    usq = np.sum(u * u, axis=-1)[..., np.newaxis]
+    return vs.w * rho[..., np.newaxis] * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
+
+
+def _seed_collide(field, tau, vs):
+    if not tau > 0.5:
+        raise ValueError(f"tau={tau}: relaxation time must exceed 0.5")
+    f = field.interior()
+    if not np.isfinite(f).all():
+        raise FloatingPointError("collide on a non-finite field")
+    rho = f.sum(axis=-1)
+    u = (f @ vs.e.astype(np.float64)) / rho[..., np.newaxis]
+    feq = _seed_equilibrium(rho, u, vs)
+    f -= (f - feq) / tau
+
+
+def _seed_stream(field, vs, out=None):
+    lx, ly, lz = field.local_dims
+    if out is None:
+        out = DistributionField(field.local_dims, field.m)
+    elif out.local_dims != field.local_dims or out.m != field.m:
+        raise ValueError("output field shape mismatch")
+    src = field.data
+    dst = out.data
+    dst.fill(0.0)
+    for i, (ex, ey, ez) in enumerate(vs.e.tolist()):
+        dst[1:lx + 1, 1:ly + 1, 1:lz + 1, i] = src[
+            1 - ex:lx + 1 - ex, 1 - ey:ly + 1 - ey, 1 - ez:lz + 1 - ez, i
+        ]
+    return out
+
+
+def _shell(data):
+    """Every halo-shell value of a field's data, flattened."""
+    inside = np.zeros(data.shape[:3], dtype=bool)
+    inside[1:-1, 1:-1, 1:-1] = True
+    return data[~inside]
+
+
+class TestKernelsMatchReference:
+    @given(
+        dims=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
+        vs_factory=st.sampled_from([d3q19, d3q27]),
+        tau=st.floats(0.5, 2.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_bit_for_bit(self, dims, vs_factory, tau, seed):
+        vs = vs_factory()
+        rng = np.random.default_rng(seed)
+        field = DistributionField(dims, vs.m)
+        field.data[...] = rng.uniform(0.01, 1.0, size=field.data.shape)
+
+        out = DistributionField(dims, vs.m)
+        out.data[...] = rng.uniform(-1e300, 1e300, size=out.data.shape)
+        out.data[rng.uniform(size=out.data.shape) < 0.3] = np.nan
+        got = stream(field, vs, out=out)
+        assert got is out
+        assert np.array_equal(got.data, _seed_stream(field, vs).data)
+        assert not _shell(got.data).any()
+
+        expected = field.copy()
+        _seed_collide(expected, tau, vs)
+        collide(field, tau, vs)
+        assert np.array_equal(field.data, expected.data)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_equilibrium_bit_for_bit(self, seed):
+        vs = d3q19()
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 1.5, size=(3, 4, 5))
+        u = rng.uniform(-0.1, 0.1, size=(3, 4, 5, 3))
+        assert np.array_equal(equilibrium(rho, u, vs), _seed_equilibrium(rho, u, vs))
+        assert np.array_equal(
+            equilibrium(rho[0, 0, 0], u[0, 0, 0], vs),
+            _seed_equilibrium(rho[0, 0, 0], u[0, 0, 0], vs),
+        )
+
+
+class TestCollideErrors:
+    DIMS = (4, 3, 5)
+
+    def _field(self, vs):
+        return lattice.random_state(self.DIMS, vs, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_plane(self, vs19, bad):
+        f = self._field(vs19)
+        f.data[self.DIMS[0], 2, 3, 11] = bad
+        before = f.data.copy()
+        with pytest.raises(FloatingPointError):
+            collide(f, 0.8, vs19)
+        assert np.array_equal(f.data, before, equal_nan=True)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5])
+    def test_nonpositive_density(self, vs19, rho):
+        f = self._field(vs19)
+        f.data[2, 1, 4, :] = rho / vs19.m
+        before = f.data.copy()
+        with pytest.raises(ZeroDensityError):
+            collide(f, 0.8, vs19)
+        assert np.array_equal(f.data, before)
+
+    def test_nan_in_halo_only(self, vs19):
+        f = self._field(vs19)
+        f.data[0, 0, 0, :] = np.nan
+        f.data[-1, 2, 3, 5] = np.nan
+        expected = f.copy()
+        _seed_collide(expected, 0.8, vs19)
+        collide(f, 0.8, vs19)
+        assert np.array_equal(f.data, expected.data, equal_nan=True)
+
+
+class TestKernelAllocations:
+    """Neither kernel allocates a temporary as large as the interior."""
+
+    L = 16
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peaks_below_one_interior(self, vs19):
+        dims = (self.L,) * 3
+        f = lattice.random_state(dims, vs19, np.random.default_rng(4))
+        out = DistributionField(dims, vs19.m)
+        limit = 8 * vs19.m * self.L**3
+        assert self._peak(lambda: collide(f, 0.8, vs19)) < limit
+        assert self._peak(lambda: stream(f, vs19, out=out)) < limit
 
 
 class TestMemoryEstimate:
