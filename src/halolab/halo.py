@@ -27,10 +27,14 @@ standalone API over all 26 buffers.
 
 Pack order is canonical: ascending (x, y, z) site order, ascending
 component within a site; buffers are C-ordered slices so this falls out
-of the storage layout.  Tags are ``sequence*32 + message_id`` where ids
-0..25 are the non-blocking displacement indices and 26..31 the blocking
-stage messages, which keeps a rank's own messages distinguishable when it
-exchanges with itself on single-rank-per-dimension periodic grids.
+of the storage layout.  A message's tag is its message id: 0..25, the
+non-blocking displacement indices, and 26..31, the blocking stage messages,
+which keeps a rank's own messages distinguishable when it exchanges with
+itself on single-rank-per-dimension periodic grids.  The tags are the same
+in every exchange and carry no sequence number: the fabric matches FIFO per
+(source, tag), MPI's non-overtaking rule, and every send is synchronous, so
+a message of the next exchange cannot be posted until the receive of this
+exchange with the same (source, tag) has matched.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ GROUP_CORNERS = tuple(
 )
 GROUPS = {"planes": GROUP_PLANES, "edges": GROUP_EDGES, "corners": GROUP_CORNERS}
 
-_TAG_STRIDE = 32
 _STAGE_NAMES = ("X", "Y", "Z")
 
 
@@ -198,8 +201,7 @@ class HaloBuffers:
     ``direct`` the active messages of the 26-message exchange in post order
     (planes, edges, corners) and ``stages`` the active messages of each
     blocking stage; peers past an open edge are left out.  Also holds
-    the exchange sequence number used for tags and the instrumentation
-    counters.
+    the instrumentation counters.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):
@@ -234,7 +236,6 @@ class HaloBuffers:
                     _stage_send_slices(dims, dim, direction),
                     _stage_halo_slices(dims, dim, direction), np.zeros(shape)))
             self.stages.append(stage)
-        self.seq = 0
         self.counters = ExchangeCounters()
 
     @cached_property
@@ -249,11 +250,6 @@ class HaloBuffers:
                 f"field {field.local_dims}/m={field.m} does not match buffers "
                 f"{self.local_dims}/m={self.m}"
             )
-
-    def _next_tag_base(self):
-        base = self.seq * _TAG_STRIDE
-        self.seq += 1
-        return base
 
 
 @dataclass
@@ -285,15 +281,15 @@ def unpack_halo_buffers(buffers, field):
         field.data[halo] = buffers.recv_full[idx]
 
 
-def _post_receives(ep, messages, base):
-    return [ep.post_recv(msg.peer, base + msg.recv_id, len(msg.view)) for msg in messages]
+def _post_receives(ep, messages):
+    return [ep.post_recv(msg.peer, msg.recv_id, len(msg.view)) for msg in messages]
 
 
-def _pack_and_send(ep, data, messages, base, counters):
+def _pack_and_send(ep, data, messages, counters):
     handles = []
     for msg in messages:
         msg.buffer[...] = data[msg.send_slices]
-        handles.append(ep.post_send(msg.peer, base + msg.send_id, msg.view))
+        handles.append(ep.post_send(msg.peer, msg.send_id, msg.view))
         counters.bytes_sent += len(msg.view)
     counters.recvs += len(messages)
     counters.sends += len(messages)
@@ -301,7 +297,7 @@ def _pack_and_send(ep, data, messages, base, counters):
 
 
 def _unpack(data, msg, payload):
-    data[msg.halo_slices] = np.frombuffer(payload, dtype=np.float64).reshape(msg.buffer.shape)
+    data[msg.halo_slices] = np.ndarray(msg.buffer.shape, np.float64, payload)
 
 
 def exchange_nonblocking_start(field, topo, buffers):
@@ -313,31 +309,36 @@ def exchange_nonblocking_start(field, topo, buffers):
     """
     buffers.check_field(field)
     token = ExchangeToken()
-    base = buffers._next_tag_base()
     ep = buffers.endpoint
     messages = buffers.direct
-    recvs = _post_receives(ep, messages, base)
+    recvs = _post_receives(ep, messages)
     token.recv_entries = [(msg.send_id, h) for msg, h in zip(messages, recvs)]
-    token.send_handles = _pack_and_send(ep, field.data, messages, base, buffers.counters)
+    token.send_handles = _pack_and_send(ep, field.data, messages, buffers.counters)
     return token
 
 
 def exchange_nonblocking_end(token, field, buffers):
     """Drain the receives via repeated wait_any, unpacking each as it
-    arrives, then drain the sends."""
+    arrives, then drain the sends.
+
+    Each drain runs over a shrinking working copy of its handle list: the
+    handle that wait_any returns is popped (with its message), so every
+    call scans only handles still in flight.  ``token`` is left intact.
+    """
     buffers.check_field(field)
     if token.finished:
         raise UsageError("exchange token already completed")
     ep = buffers.endpoint
     data = field.data
-    messages = buffers.direct
+    counters = buffers.counters
     recvs = [h for _, h in token.recv_entries]
+    messages = list(buffers.direct)
     try:
-        for _ in range(len(recvs)):
+        while recvs:
             i = ep.wait_any(recvs)
-            payload = recvs[i].payload
-            _unpack(data, messages[i], payload)
-            buffers.counters.bytes_received += len(payload)
+            payload = recvs.pop(i).payload
+            _unpack(data, messages.pop(i), payload)
+            counters.bytes_received += len(payload)
     except TransportDeadlock as exc:
         outstanding = sorted(
             HaloNeighbour(idx).name
@@ -348,9 +349,10 @@ def exchange_nonblocking_end(token, field, buffers):
             f"non-blocking end stalled; outstanding receives: {outstanding}",
             pending=exc.pending,
         ) from exc
-    for _ in range(len(token.send_handles)):
-        ep.wait_any(token.send_handles)
-    buffers.counters.waits += 1  # one logical completion barrier
+    sends = list(token.send_handles)
+    while sends:
+        sends.pop(ep.wait_any(sends))
+    counters.waits += 1  # one logical completion barrier
     token.finished = True
 
 
@@ -367,13 +369,12 @@ def exchange_blocking(field, topo, buffers):
     whole exchange waits exactly three times.
     """
     buffers.check_field(field)
-    base = buffers._next_tag_base()
     ep = buffers.endpoint
     data = field.data
     counters = buffers.counters
     for dim, messages in enumerate(buffers.stages):
-        recvs = _post_receives(ep, messages, base)
-        sends = _pack_and_send(ep, data, messages, base, counters)
+        recvs = _post_receives(ep, messages)
+        sends = _pack_and_send(ep, data, messages, counters)
         try:
             ep.wait_all(recvs + sends)
         except TransportDeadlock as exc:

@@ -15,8 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from . import lattice
-from .config import RunConfig  # noqa: F401  (re-export convenience)
-from .errors import TransportAborted
+from .errors import TransportAborted, TransportDeadlock
 from .halo import ExchangeCounters, HaloBuffers, exchange
 from .metrics import BenchRecord
 from .overlap import OverlapWorkload, step_with_overlap, synthetic_workload
@@ -39,20 +38,39 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
 
     The first rank failure aborts the fabric and the barrier so peers fail
     fast instead of hitting the watchdog; that first error is re-raised.
+    The barrier shares the fabric's watchdog: a rank that waits there
+    longer fails with ``TransportDeadlock``.  Once a rank has failed, the
+    others get one more watchdog period to end; ranks still running then
+    are left behind (the threads are daemons) and named in the
+    ``TransportDeadlock`` that is raised instead.
     """
     fabric = Fabric(nranks, watchdog_seconds=watchdog_seconds, model=model)
-    barrier = threading.Barrier(nranks)
+    barrier = threading.Barrier(nranks, timeout=watchdog_seconds)
     results = [None] * nranks
     errors = []
+    ended = set()
+    changed = threading.Condition()
 
     def run_one(rank):
         ctx = RankContext(rank, nranks, fabric.endpoint(rank), barrier)
         try:
             results[rank] = body(ctx)
         except BaseException as exc:  # noqa: BLE001 - collected and re-raised
-            errors.append((rank, exc))
+            with changed:
+                # the barrier is aborted only after an error is recorded,
+                # so a broken barrier with no error recorded timed out
+                if isinstance(exc, threading.BrokenBarrierError) and not errors:
+                    exc = TransportDeadlock(
+                        f"rank {rank} waited {watchdog_seconds:.1f}s at a barrier "
+                        "that not every rank reached"
+                    )
+                errors.append((rank, exc))
             barrier.abort()
             fabric.abort(f"rank {rank} failed: {exc!r}")
+        finally:
+            with changed:
+                ended.add(rank)
+                changed.notify()
 
     threads = [
         threading.Thread(target=run_one, args=(r,), name=f"rank-{r}", daemon=True)
@@ -60,17 +78,27 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
     ]
     for t in threads:
         t.start()
-    for t in threads:
-        t.join()
-    if errors:
+    with changed:
+        changed.wait_for(lambda: errors or len(ended) == nranks)
+        changed.wait_for(lambda: len(ended) == nranks, timeout=watchdog_seconds)
+        stuck = sorted(set(range(nranks)) - ended)
+        failures = list(errors)  # a rank left behind may still append
+    for rank in sorted(ended):
+        threads[rank].join()
+    if failures:
         # prefer the root cause over secondary barrier/abort fallout
         def precedence(item):
             _, exc = item
             secondary = isinstance(exc, (threading.BrokenBarrierError, TransportAborted))
             return (secondary, item[0])
 
-        errors.sort(key=precedence)
-        raise errors[0][1]
+        rank, exc = min(failures, key=precedence)
+        if stuck:
+            raise TransportDeadlock(
+                f"rank(s) {stuck} still running {watchdog_seconds:.1f}s after "
+                f"rank {rank} failed: {exc!r}"
+            ) from exc
+        raise exc
     fabric.assert_drained()
     return results
 

@@ -5,7 +5,9 @@ returns immediately with a RequestHandle; a send handle completes only
 once the matching receive has been posted and the payload handed over
 (synchronous semantics), a receive completes when its payload arrives.
 Matching is by (source, tag) at the destination, FIFO per pair, no
-wildcards.
+wildcards.  A destination keeps one queue for every distinct (source, tag)
+it has ever been posted, emptied queues included, so callers should reuse
+a fixed set of tags rather than draw a new tag per message.
 
 A send payload is any object with the buffer protocol (``bytes``,
 ``bytearray``, a numpy array, a ``memoryview``).  The fabric keeps a view
@@ -199,7 +201,7 @@ class Fabric:
     # -- internals -------------------------------------------------------
 
     @staticmethod
-    def _deliver(send_h, recv_h, now):
+    def _deliver(send_h, recv_h):
         if send_h.nbytes > recv_h.capacity:
             err = MessageTruncation(
                 f"payload of {send_h.nbytes} bytes from rank {send_h.source} "
@@ -211,7 +213,7 @@ class Fabric:
             # the one copy of a message: the sender's buffer into new bytes
             recv_h.payload = bytes(send_h._send_payload)
         ready = send_h._ready
-        if ready is not None and ready < now:
+        if ready is not None and ready < perf_counter():
             ready = None
         send_h._ready = ready
         recv_h._ready = ready
@@ -219,29 +221,36 @@ class Fabric:
         recv_h._matched = True
         send_h._send_payload = None
 
+    @staticmethod
+    def _enqueue(queues, key, h):
+        # queues are kept once emptied, so a reused key allocates nothing
+        q = queues.get(key)
+        if q is None:
+            q = queues[key] = deque()
+        q.append(h)
+
     def _post_send(self, source, dest, tag, payload):
         if not 0 <= dest < self.nranks:
             raise ValueError(f"invalid destination rank {dest}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
         payload = memoryview(payload)
-        h = RequestHandle("send", source, dest, tag, nbytes=payload.nbytes)
+        h = RequestHandle("send", source, dest, tag, payload.nbytes)
         h._send_payload = payload
         key = (source, tag)
         with self._lock:
             self._check_abort()
-            now = perf_counter()
             if self.model is not None:
-                start = max(now, self._pipe_free[source])
+                start = max(perf_counter(), self._pipe_free[source])
                 h._ready = start + self.model.delay(h.nbytes)
                 self._pipe_free[source] = h._ready
             waiting = self._recvs[dest].get(key)
             if waiting:
-                self._deliver(h, waiting.popleft(), now)
+                self._deliver(h, waiting.popleft())
                 if dest != source:  # a rank that posts is not waiting
                     self._conds[dest].notify_all()
             else:
-                self._sends[dest].setdefault(key, deque()).append(h)
+                self._enqueue(self._sends[dest], key, h)
         return h
 
     def _post_recv(self, dest, source, tag, capacity):
@@ -251,18 +260,17 @@ class Fabric:
             raise ValueError("tag must be non-negative")
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        h = RequestHandle("recv", source, dest, tag, capacity=capacity)
+        h = RequestHandle("recv", source, dest, tag, 0, capacity)
         key = (source, tag)
         with self._lock:
             self._check_abort()
-            now = perf_counter()
             waiting = self._sends[dest].get(key)
             if waiting:
-                self._deliver(waiting.popleft(), h, now)
+                self._deliver(waiting.popleft(), h)
                 if source != dest:
                     self._conds[source].notify_all()
             else:
-                self._recvs[dest].setdefault(key, deque()).append(h)
+                self._enqueue(self._recvs[dest], key, h)
         return h
 
     def _wait(self, rank, handles, wait_any):
@@ -347,14 +355,14 @@ class Endpoint:
 
     def wait_all(self, handles):
         """Block until every handle in the list has completed."""
-        self.fabric._wait(self.rank, handles, wait_any=False)
+        self.fabric._wait(self.rank, handles, False)
 
     def wait_any(self, handles):
         """Block until one not-yet-returned handle completes; return its index.
 
         Repeated calls over the same list yield each index exactly once.
         """
-        return self.fabric._wait(self.rank, handles, wait_any=True)
+        return self.fabric._wait(self.rank, handles, True)
 
 
 def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):
@@ -372,27 +380,28 @@ def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):
     payload = b"\xa5" * message_bytes
     box = {}
 
-    # tag round_trips is an untimed warm-up trip so the timed loop does not
-    # absorb thread start-up and first-touch costs
+    # every trip uses tag 0; FIFO matching per (source, tag) keeps the
+    # trips in order.  The first trip is an untimed warm-up so the timed
+    # loop does not absorb thread start-up and first-touch costs
     def pinger():
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(1, round_trips, message_bytes)
-        sh = ep.post_send(1, round_trips, payload)
+        rh = ep.post_recv(1, 0, message_bytes)
+        sh = ep.post_send(1, 0, payload)
         ep.wait_all((rh, sh))
         t0 = perf_counter()
-        for r in range(round_trips):
-            rh = ep.post_recv(1, r, message_bytes)
-            sh = ep.post_send(1, r, payload)
+        for _ in range(round_trips):
+            rh = ep.post_recv(1, 0, message_bytes)
+            sh = ep.post_send(1, 0, payload)
             ep.wait_all((rh, sh))
         box["elapsed"] = perf_counter() - t0
         box["echo"] = rh.payload
 
     def ponger():
         ep = fabric.endpoint(1)
-        for r in [round_trips] + list(range(round_trips)):
-            rh = ep.post_recv(0, r, message_bytes)
+        for _ in range(round_trips + 1):
+            rh = ep.post_recv(0, 0, message_bytes)
             ep.wait_all((rh,))
-            sh = ep.post_send(0, r, rh.payload)
+            sh = ep.post_send(0, 0, rh.payload)
             ep.wait_all((sh,))
 
     threads = [

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from halolab import lattice
+from halolab.config import RunConfig
 from halolab.halo import HaloBuffers, exchange, halo_shell
 from halolab.metrics import (
     comm_work_ratio,
@@ -18,7 +19,6 @@ from halolab.metrics import (
 )
 from halolab.overlap import OverlapWorkload, step_with_overlap, synthetic_workload
 from halolab.runner import (
-    RunConfig,
     run_ranks,
     run_regression,
     run_test_halo,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from halolab.topology import (
     CartesianTopology,
     displacement_index,
 )
+from halolab.transport import TransportModel
 
 
 def random_field(dims, m, seed):
@@ -273,6 +276,67 @@ class TestStrategyEquivalence:
             assert np.array_equal(shell_b, shell_n)
 
 
+def global_wrap_block(glob, topo, rank, dims):
+    """Independent oracle: a rank's padded block cut from the periodically
+    wrapped global lattice ``glob``, interior zeroed like ``halo_shell``."""
+    padded = np.pad(glob, [(1, 1)] * 3 + [(0, 0)], mode="wrap")
+    lo = [c * n for c, n in zip(topo.cart_coords(rank), dims)]
+    block = padded[tuple(slice(a, a + n + 2) for a, n in zip(lo, dims))].copy()
+    block[1:-1, 1:-1, 1:-1, :] = 0.0
+    return block
+
+
+class TestConsecutiveExchanges:
+    """Every exchange reuses the same 32 tags; FIFO matching per (source,
+    tag) must keep consecutive exchanges apart and the fabric bounded."""
+
+    @pytest.mark.parametrize("model", [None, TransportModel(20e-6, 1000.0)],
+                             ids=["no-model", "model"])
+    @pytest.mark.parametrize("proc_dims", [(1, 1, 1), (2, 1, 1)])
+    def test_fresh_interior_every_exchange(self, proc_dims, model):
+        # strategies run in pairs (B B N N ...) so all four transitions occur;
+        # with the model a rank can post exchange k+1 while its peer drains k
+        dims, m, exchanges = (2, 3, 2), 3, 24
+        topo = CartesianTopology(proc_dims)
+        global_dims = tuple(p * n for p, n in zip(proc_dims, dims))
+
+        def body(ctx):
+            f = lattice.DistributionField(dims, m)
+            buffers = HaloBuffers(topo, ctx.rank, dims, m, ctx.endpoint)
+            lo = [c * n for c, n in zip(topo.cart_coords(ctx.rank), dims)]
+            own = tuple(slice(a, a + n) for a, n in zip(lo, dims))
+            stale = []
+            for k in range(exchanges):
+                glob = np.random.default_rng([17, k]).uniform(-1.0, 1.0, global_dims + (m,))
+                f.interior()[...] = glob[own]
+                exchange(f, topo, buffers, ("blocking", "nonblocking")[k // 2 % 2])
+                if not np.array_equal(halo_shell(f), global_wrap_block(glob, topo, ctx.rank, dims)):
+                    stale.append(k)
+            return stale
+
+        outs = run_ranks(topo.nranks, body, watchdog_seconds=10.0, model=model)
+        assert outs == [[]] * topo.nranks
+
+    @pytest.mark.parametrize("proc_dims", [(1, 1, 1), (2, 1, 1)])
+    def test_fabric_queues_stay_bounded(self, proc_dims):
+        dims, m = (2, 2, 2), 2
+        topo = CartesianTopology(proc_dims)
+
+        def body(ctx):
+            f = random_field(dims, m, (5, ctx.rank))
+            buffers = HaloBuffers(topo, ctx.rank, dims, m, ctx.endpoint)
+            for strategy in ("blocking", "nonblocking"):
+                for _ in range(500):
+                    exchange(f, topo, buffers, strategy)
+            return ctx.endpoint.fabric
+
+        fabric = run_ranks(topo.nranks, body, watchdog_seconds=10.0)[0]
+        assert fabric.pending_summary() == []
+        for dest in range(fabric.nranks):
+            keys = fabric._sends[dest].keys() | fabric._recvs[dest].keys()
+            assert len(keys) <= 32
+
+
 class TestMultiRankConservation:
     def test_exchange_stream_conserves_mass(self):
         vs = lattice.d3q19()
@@ -328,6 +392,24 @@ class TestDeadlockAnnotation:
         assert "outstanding receives" in message
         # the un-matching peer sits in +/-X, so those ids must be named
         assert "PMM" in message or "NMM" in message
+
+
+    @pytest.mark.parametrize("sleep_s", [0.8, 3.0])
+    def test_rank_missing_the_barrier_is_named(self, sleep_s):
+        # rank 1 sleeps past the 0.5 s watchdog; at 3 s it is still asleep
+        # when run_ranks gives up on it one watchdog period after rank 0 fails
+        def body(ctx):
+            if ctx.rank == 1:
+                time.sleep(sleep_s)
+            ctx.barrier.wait()
+
+        t0 = time.monotonic()
+        with pytest.raises(TransportDeadlock) as err:
+            run_ranks(2, body, watchdog_seconds=0.5)
+        assert time.monotonic() - t0 < 2.5
+        assert "barrier" in str(err.value)
+        if sleep_s > 2.5:
+            assert "rank(s) [1] still running" in str(err.value)
 
 
 class TestCounters:
