@@ -26,14 +26,17 @@ and ``unpack_halo_buffers`` keep the same pack and unpack geometry as a
 standalone API over all 26 buffers.
 
 Pack order is canonical: ascending (x, y, z) site order, ascending
-component within a site; buffers are C-ordered slices so this falls out
-of the storage layout.  A message's tag is its message id: 0..25, the
-non-blocking displacement indices, and 26..31, the blocking stage messages,
-which keeps a rank's own messages distinguishable when it exchanges with
-itself on single-rank-per-dimension periodic grids.  The tags are the same
-in every exchange and carry no sequence number: the fabric matches FIFO per
-(source, tag), MPI's non-overtaking rule, and every send is synchronous, so
-a message of the next exchange cannot be posted until the receive of this
+component within a site.  Buffers are C-ordered (x, y, z, component)
+arrays filled from and emptied into the field's site-major ``data`` view,
+so the order holds whatever the storage order; with component-major
+storage every pack and unpack is a transposing copy.  A message's tag is
+its message id: 0..25, the non-blocking displacement indices, and 26..31,
+the blocking stage messages, which keeps a rank's own messages
+distinguishable when it exchanges with itself on single-rank-per-dimension
+periodic grids.  The tags are the same in every exchange and carry no
+sequence number: the fabric matches FIFO per (source, tag), MPI's
+non-overtaking rule, and every send is synchronous, so a message of the
+next exchange cannot be posted until the receive of this
 exchange with the same (source, tag) has matched.
 """
 

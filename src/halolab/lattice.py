@@ -1,16 +1,19 @@
 """Discrete-velocity lattice model: velocity sets, fields, BGK update.
 
 Lattice units throughout: dx = dt = 1, lattice speed c = 1.  Storage is
-site-major with the m distribution components contiguous per site,
-``index = ((x*(Ly+2) + y)*(Lz+2) + z)*m + i`` with x, y, z in 0..L+1 and
-the interior at 1..L.  That layout is load-bearing: the halo pack loops
-rely on it for contiguous, canonically ordered buffers.
+component-major: each of the m distribution components is one contiguous
+(Lx+2, Ly+2, Lz+2) array, ``index = ((i*(Lx+2) + x)*(Ly+2) + y)*(Lz+2) + z``
+with x, y, z in 0..L+1 and the interior at 1..L.  ``DistributionField.data``
+views the same memory site-major, as (x, y, z, i); halo packing, the checks
+and the tests read through it, so the order of the bytes on the wire (site,
+then component) does not depend on the storage order.
 
-The kernels move data in cache-sized pieces and allocate nothing as large
-as the field: ``collide`` relaxes one x-plane at a time through plane-sized
-scratch, and ``stream`` copies the components a few x-planes at a time and
-zeroes only the halo shell of its output.  Scratch lives for one call,
-never in the module, because ranks are threads.
+The kernels work on whole components: ``stream`` is one shifted copy per
+component and zeroes only the halo shell of its output; ``collide`` takes
+density and momentum in one numpy call each, then relaxes each component as
+one (Lx, Ly, Lz) array through scratch of about twelve such arrays, less
+than one interior.  Scratch lives for one call, never in the module,
+because ranks are threads.
 """
 
 from __future__ import annotations
@@ -108,32 +111,40 @@ def velocity_set_for(m):
 class DistributionField:
     """Per-rank lattice of m-component distributions plus a one-site halo shell.
 
-    ``data`` has shape (Lx+2, Ly+2, Lz+2, m), C-contiguous float64.
+    ``store`` is the storage: shape (m, Lx+2, Ly+2, Lz+2), C-contiguous
+    float64, so each component is one contiguous array.  ``data`` is the
+    (Lx+2, Ly+2, Lz+2, m) view of the same memory, indexed by site, then
+    component; writes through either show in the other.
     """
 
-    __slots__ = ("local_dims", "m", "data")
+    __slots__ = ("local_dims", "m", "store", "data")
 
-    def __init__(self, local_dims, m, data=None):
+    def __init__(self, local_dims, m, store=None):
         lx, ly, lz = (int(v) for v in local_dims)
         if min(lx, ly, lz) < 1:
             raise ValueError("local dimensions must be at least 1")
         m = int(m)
         if not 1 <= m <= 27:
             raise ValueError(f"m={m}: supported range is 1..27")
-        shape = (lx + 2, ly + 2, lz + 2, m)
-        if data is None:
-            data = np.zeros(shape, dtype=np.float64)
+        shape = (m, lx + 2, ly + 2, lz + 2)
+        if store is None:
+            store = np.zeros(shape, dtype=np.float64)
         else:
-            data = np.ascontiguousarray(data, dtype=np.float64)
-            if data.shape != shape:
-                raise ValueError(f"data shape {data.shape} does not match {shape}")
+            store = np.ascontiguousarray(store, dtype=np.float64)
+            if store.shape != shape:
+                raise ValueError(f"store shape {store.shape} does not match {shape}")
         self.local_dims = (lx, ly, lz)
         self.m = m
-        self.data = data
+        self.store = store
+        self.data = store.transpose(1, 2, 3, 0)
 
     def interior(self):
         """View of the owned sites, shape (Lx, Ly, Lz, m)."""
         return self.data[1:-1, 1:-1, 1:-1, :]
+
+    def interior_components(self):
+        """View of the owned sites by component, shape (m, Lx, Ly, Lz)."""
+        return self.store[:, 1:-1, 1:-1, 1:-1]
 
     @property
     def interior_sites(self):
@@ -146,10 +157,10 @@ class DistributionField:
         return (lx + 2) * (ly + 2) * (lz + 2) - lx * ly * lz
 
     def copy(self):
-        return DistributionField(self.local_dims, self.m, self.data.copy())
+        return DistributionField(self.local_dims, self.m, self.store.copy())
 
     def check_finite(self):
-        if not np.isfinite(self.data).all():
+        if not np.isfinite(self.store).all():
             raise FloatingPointError("distribution field contains non-finite values")
 
     def __repr__(self):
@@ -180,26 +191,65 @@ def velocity(field, site, vs):
     return f @ vs.e.astype(np.float64) / rho
 
 
-def _equilibrium(rho, u, e, w, out, tmp, usq):
-    """Write the BGK equilibrium of (rho, u) into ``out``; allocates nothing.
+def _opposite_pairs(vs):
+    """(i, j) with e_j = -e_i, one per pair, e_i's first nonzero component
+    positive; the rest velocity comes first as (0, None).  Pairs keep the
+    set's index order, so equal weights stay together in D3Q19 and D3Q27."""
+    return [(0, None)] + [
+        (i, int(vs.opposite[i]))
+        for i, v in enumerate(vs.e.tolist())
+        if i and next(c for c in v if c) > 0
+    ]
 
-    f_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u), evaluated in this
-    operation order, on which collide's bit-for-bit results rest.  Shapes:
-    rho (...,), u (..., 3), e (m, 3) float64, out and tmp (..., m), usq
-    (..., 1).  ``u`` is overwritten.
+
+def _equilibrium(rho, u, vs):
+    """Yield (i, f_i) for every velocity i: the BGK equilibrium of density
+    ``rho`` and velocity ``u``, one component at a time.
+
+    ``u`` is component-major, shape (3,) + rho.shape.  Per element
+
+        f_i = w_i * rho * (((1 + 3 e.u) + 4.5 (e.u)^2) - 1.5 u.u)
+
+    in this operation order, with u.u = (ux^2 + uy^2) + uz^2 and e.u the
+    signed sum of u's components in x, y, z order: exactly the values that
+    ``np.sum(u * u, axis=-1)`` and ``u @ e.T`` give site-major.  The 3 e.u and
+    4.5 (e.u)^2 terms of e_i serve -e_i as well (1 - 3 e.u, same square), and
+    rho * w_i serves every velocity of equal weight; both are exact.  Scratch
+    is six arrays of rho's shape; each f_i is one of them, which the caller
+    may overwrite before taking the next.
     """
-    np.matmul(u, e.T, out=out)
-    np.multiply(out, 4.5, out=tmp)
-    np.multiply(tmp, out, out=tmp)
-    np.multiply(out, 3.0, out=out)
-    np.add(out, 1.0, out=out)
-    np.add(out, tmp, out=out)
-    np.multiply(u, u, out=u)
-    np.sum(u, axis=-1, keepdims=True, out=usq)
-    np.multiply(usq, 1.5, out=usq)
-    np.subtract(out, usq, out=out)
-    np.multiply(rho[..., np.newaxis], w, out=tmp)
-    np.multiply(tmp, out, out=out)
+    usq, eu, p, q, rw, out = (np.empty(rho.shape) for _ in range(6))
+    # usq holds 1.5 u.u; eu is scratch until the pairs need it
+    np.multiply(u[0], u[0], out=usq)
+    np.multiply(u[1], u[1], out=eu)
+    usq += eu
+    np.multiply(u[2], u[2], out=eu)
+    usq += eu
+    usq *= 1.5
+    last_w = None
+    for i, j in _opposite_pairs(vs):
+        if vs.w[i] != last_w:
+            last_w = vs.w[i]
+            np.multiply(rho, last_w, out=rw)
+        if j is None:
+            np.subtract(1.0, usq, out=out)
+            out *= rw
+            yield i, out
+            continue
+        (a, _), *rest = [(a, c) for a, c in enumerate(vs.e[i].tolist()) if c]
+        x = u[a]
+        for b, c in rest:
+            (np.add if c > 0 else np.subtract)(x, u[b], out=eu)
+            x = eu
+        np.multiply(x, 3.0, out=p)
+        np.multiply(x, 4.5, out=q)
+        q *= x
+        for k, ufunc in ((i, np.add), (j, np.subtract)):
+            ufunc(1.0, p, out=out)  # 1 + 3 e.u, and 1 - 3 e.u for -e_i
+            out += q
+            out -= usq
+            out *= rw
+            yield k, out
 
 
 def equilibrium(rho, u, vs):
@@ -215,28 +265,23 @@ def equilibrium(rho, u, vs):
         raise ZeroDensityError("equilibrium needs strictly positive density")
     lead = np.broadcast_shapes(rho.shape, u.shape[:-1])
     feq = np.empty(lead + (vs.m,))
-    _equilibrium(
-        np.broadcast_to(rho, lead),
-        np.array(np.broadcast_to(u, lead + (3,))),
-        vs.e.astype(np.float64),
-        vs.w,
-        feq,
-        np.empty_like(feq),
-        np.empty(lead + (1,)),
-    )
+    u = np.moveaxis(np.broadcast_to(u, lead + (3,)), -1, 0)
+    for i, fi in _equilibrium(np.broadcast_to(rho, lead), u, vs):
+        feq[..., i] = fi
     return feq
 
 
 def collide(field, tau, vs):
     """Relax every interior site toward local equilibrium (BGK), in place.
 
-    Conserves density and momentum at each site to round-off.  The first
-    pass sums each site's density and checks it before anything is written:
-    a NaN or inf in any component makes its site's density non-finite and
+    Conserves density and momentum at each site to round-off.  Density
+    ``rho`` and momentum are one numpy call each over the site-major
+    interior view; the density is checked before anything is written: a
+    NaN or inf in any component makes its site's density non-finite and
     raises ``FloatingPointError``; a density <= 0 raises
-    ``ZeroDensityError``.  The second pass relaxes one x-plane at a time
-    through plane-sized scratch, so no temporary is as large as the field.
-    The halo shell is neither read nor written.
+    ``ZeroDensityError``.  Each component is then relaxed as one
+    (Lx, Ly, Lz) array.  Scratch peaks at about twelve such arrays, under one
+    interior.  The halo shell is neither read nor written.
     """
     if not tau > 0.5:
         raise ValueError(f"tau={tau}: relaxation time must exceed 0.5")
@@ -246,25 +291,16 @@ def collide(field, tau, vs):
         raise FloatingPointError("collide on a non-finite field")
     if np.any(rho <= 0.0):
         raise ZeroDensityError("collide needs strictly positive density")
-    e = vs.e.astype(np.float64)
-    plane = f.shape[1:]
-    u = np.empty(plane[:-1] + (3,))
-    usq = np.empty(plane[:-1] + (1,))
-    feq = np.empty(plane)
-    tmp = np.empty(plane)
-    for fx, rx in zip(f, rho):
-        np.matmul(fx, e, out=u)
-        np.divide(u, rx[..., np.newaxis], out=u)
-        _equilibrium(rx, u, e, vs.w, feq, tmp, usq)
-        np.subtract(fx, feq, out=feq)
+    mom = f @ vs.e.astype(np.float64)
+    u = np.empty((3,) + rho.shape)
+    np.divide(mom.transpose(3, 0, 1, 2), rho, out=u)
+    del mom
+    fc = field.interior_components()
+    for i, feq in _equilibrium(rho, u, vs):
+        fi = fc[i]
+        np.subtract(fi, feq, out=feq)
         np.divide(feq, tau, out=feq)
-        np.subtract(fx, feq, out=fx)
-
-
-# x-planes per stream block.  At L=32 on a host with 2 MiB of L2 per core a
-# 4-plane block (~1.7 MB of source and destination) took 2.2 ms per stream,
-# against 3.0 ms for 1 plane and 3.3 ms for 8, whose blocks spill from L2.
-_STREAM_BLOCK = 4
+        np.subtract(fi, feq, out=fi)
 
 
 def stream(field, vs, out=None):
@@ -273,27 +309,24 @@ def stream(field, vs, out=None):
     Reads may come from the halo shell, so the shell must hold valid
     neighbour data.  Double-buffered: the result is a separate field (pass
     ``out`` to reuse an allocation).  Halo contents of the result are
-    unspecified; they are zeroed here.  Every interior value of ``out`` is
-    overwritten, so only its halo shell is zeroed, and the components are
-    copied a few x-planes at a time so each block stays in cache.
+    unspecified; they are zeroed here.  Each component is one shifted copy
+    of a contiguous array; every interior value of ``out`` is overwritten,
+    so only its halo shell is zeroed.
     """
     lx, ly, lz = field.local_dims
     if out is None:
         out = DistributionField(field.local_dims, field.m)
     elif out.local_dims != field.local_dims or out.m != field.m:
         raise ValueError("output field shape mismatch")
-    src = field.data
-    dst = out.data
-    dst[0] = dst[-1] = 0.0
-    dst[1:-1, 0] = dst[1:-1, -1] = 0.0
-    dst[1:-1, 1:-1, 0] = dst[1:-1, 1:-1, -1] = 0.0
-    shifts = vs.e.tolist()
-    for x0 in range(1, lx + 1, _STREAM_BLOCK):
-        x1 = min(x0 + _STREAM_BLOCK, lx + 1)
-        for i, (ex, ey, ez) in enumerate(shifts):
-            dst[x0:x1, 1:ly + 1, 1:lz + 1, i] = src[
-                x0 - ex:x1 - ex, 1 - ey:ly + 1 - ey, 1 - ez:lz + 1 - ez, i
-            ]
+    src = field.store
+    dst = out.store
+    dst[:, 0] = dst[:, -1] = 0.0
+    dst[:, 1:-1, 0] = dst[:, 1:-1, -1] = 0.0
+    dst[:, 1:-1, 1:-1, 0] = dst[:, 1:-1, 1:-1, -1] = 0.0
+    for i, (ex, ey, ez) in enumerate(vs.e.tolist()):
+        dst[i, 1:lx + 1, 1:ly + 1, 1:lz + 1] = src[
+            i, 1 - ex:lx + 1 - ex, 1 - ey:ly + 1 - ey, 1 - ez:lz + 1 - ez
+        ]
     return out
 
 
@@ -329,6 +362,11 @@ def random_state(local_dims, vs, rng, rho0=1.0, drho=0.1, du=0.02, noise=0.05):
     shape = field.local_dims
     rho = rho0 + drho * rng.uniform(-1.0, 1.0, size=shape)
     u = du * rng.uniform(-1.0, 1.0, size=shape + (3,))
-    feq = equilibrium(rho, u, vs)
-    field.interior()[...] = feq * (1.0 + noise * rng.uniform(-1.0, 1.0, size=feq.shape))
+    kick = rng.uniform(-1.0, 1.0, size=shape + (vs.m,))
+    fc = field.interior_components()
+    # feq * (1 + noise * kick), component by component into the store
+    for i, feq in _equilibrium(rho, u.transpose(3, 0, 1, 2), vs):
+        np.multiply(kick[..., i], noise, out=fc[i])
+        fc[i] += 1.0
+        fc[i] *= feq
     return field

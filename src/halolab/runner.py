@@ -113,13 +113,15 @@ def _rank_rng(cfg, rank):
     return np.random.default_rng([cfg.seed, rank])
 
 
-def _build_field(cfg, local_dims, rank, vs=None):
+def _rank_fields(cfg, local_dims, rank, vs):
+    """A rank's seeded field and, with physics, the spare that stream fills."""
     rng = _rank_rng(cfg, rank)
     if vs is not None:
-        return lattice.random_state(local_dims, vs, rng)
+        field = lattice.random_state(local_dims, vs, rng)
+        return field, lattice.DistributionField(local_dims, cfg.m)
     field = lattice.DistributionField(local_dims, cfg.m)
     field.interior()[...] = rng.uniform(0.5, 1.5, size=field.interior().shape)
-    return field
+    return field, None
 
 
 @dataclass
@@ -140,8 +142,8 @@ def _lb_step(field, spare, halo, vs, tau):
     return spare, field
 
 
-def _bench_body(cfg, topo, local_dims):
-    vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
+def _bench_body(cfg, topo, vs, fields):
+    """The rank body of one repetition; rank r takes over ``fields[r]``."""
     # any nonzero intensity attaches halo-independent work to every step;
     # overlap_enabled decides whether it runs inside the start/end window
     # or serially after the exchange
@@ -151,9 +153,10 @@ def _bench_body(cfg, topo, local_dims):
         workload = None
 
     def body(ctx):
-        field = _build_field(cfg, local_dims, ctx.rank, vs)
-        alt = lattice.DistributionField(local_dims, cfg.m) if vs is not None else None
-        buffers = HaloBuffers(topo, ctx.rank, local_dims, cfg.m, ctx.endpoint)
+        # the list lets go, so the fields are freed when the rank ends
+        field, alt = fields[ctx.rank]
+        fields[ctx.rank] = None
+        buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ctx.endpoint)
         halo_s = 0.0
 
         def halo(fld):
@@ -194,10 +197,18 @@ def run_benchmark(cfg):
     cfg.validate()
     proc, local, _ = cfg.resolve_dims()
     topo = CartesianTopology(proc, periodic=cfg.periodic)
-    body = _bench_body(cfg, topo, local)
+    vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
     model = _transport_model(cfg)
     halo_times, step_times, bytes_sent, messages, waits = [], [], [], [], []
     for _ in range(cfg.repetitions):
+        # Fields are made here, not on the rank threads, which live for one
+        # repetition: glibc's arena of a finished rank thread kept the freed
+        # fields resident, and a repetition whose rank thread was given
+        # another arena made a second set on top (the peak RSS of a process
+        # repeating one-rank L=32 runs read ~57 MB or, in some processes,
+        # ~74 MB).  Made by this thread, they are freed into one arena.
+        fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
+        body = _bench_body(cfg, topo, vs, fields)
         outs = run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds, model=model)
         halo_times.append(max(o.t_halo for o in outs))
         step_times.append(max(o.t_step for o in outs))
@@ -228,27 +239,29 @@ def run_benchmark(cfg):
 
 
 def encode_boundary_value(rank, site, i, local_dims):
-    """Distinct nonzero value for component i of a boundary site on a rank."""
+    """Distinct nonzero value for component i of a boundary site on a rank.
+
+    Broadcasts: ``rank``, the three site coordinates and ``i`` may be
+    integer arrays.
+    """
     lx, ly, lz = local_dims
     x, y, z = site
     code = ((rank * (lx + 2) + x) * (ly + 2) + y) * (lz + 2) + z
-    return float(code * 32 + i + 1)
+    return np.asarray(code * 32 + i + 1, dtype=np.float64)
 
 
 def make_pattern_field(local_dims, m, rank):
     """Zero field with every interior boundary site set to its encoded values."""
     lx, ly, lz = local_dims
     field = lattice.DistributionField(local_dims, m)
-    xs = np.arange(1, lx + 1)[:, None, None]
-    ys = np.arange(1, ly + 1)[None, :, None]
-    zs = np.arange(1, lz + 1)[None, None, :]
-    code = ((rank * (lx + 2) + xs) * (ly + 2) + ys) * (lz + 2) + zs
-    values = code[..., None] * 32 + np.arange(m) + 1
+    xs = np.arange(1, lx + 1)[:, None, None, None]
+    ys = np.arange(1, ly + 1)[None, :, None, None]
+    zs = np.arange(1, lz + 1)[None, None, :, None]
+    values = encode_boundary_value(rank, (xs, ys, zs), np.arange(m), local_dims)
     boundary = (
         (xs == 1) | (xs == lx) | (ys == 1) | (ys == ly) | (zs == 1) | (zs == lz)
     )
-    interior = field.interior()
-    interior[...] = np.where(boundary[..., None], values.astype(np.float64), 0.0)
+    field.interior()[...] = np.where(boundary, values, 0.0)
     return field
 
 
@@ -292,48 +305,38 @@ def verify_halo_pattern(data, topo, rank, local_dims, m, strategy="?"):
 
     Expected values come straight from coordinate arithmetic on the rank
     grid, not from any exchange machinery.  Halo sites across an open
-    boundary must still hold their initial zeros.
+    boundary must still hold their initial zeros.  Returns the number of
+    halo sites checked and one ``HaloMismatch`` per wrong site, in
+    ascending (x, y, z) order, naming its first wrong component.
     """
-    lx, ly, lz = local_dims
-    coords = topo.cart_coords(rank)
+    # per axis, for every padded index: owner's grid coordinate, site on
+    # the owner, and whether the site exists (it does not past an open edge)
+    owner, local, present = [], [], []
+    for a, (c, n, L, per) in enumerate(zip(topo.cart_coords(rank), topo.dims,
+                                          local_dims, topo.periodic)):
+        g = c * L + np.arange(-1, L + 1)
+        if per:
+            g %= n * L
+        shape = [1, 1, 1, 1]
+        shape[a] = L + 2
+        owner.append((g // L).reshape(shape))
+        local.append((g % L + 1).reshape(shape))
+        present.append(((0 <= g) & (g < n * L)).reshape(shape))
+    _, py, pz = topo.dims
+    owner_rank = (owner[0] * py + owner[1]) * pz + owner[2]
+    values = encode_boundary_value(owner_rank, local, np.arange(m), local_dims)
+    expected = np.where(present[0] & present[1] & present[2], values, 0.0)
+    halo = np.ones(data.shape[:3], dtype=bool)
+    halo[1:-1, 1:-1, 1:-1] = False
+    wrong = data != expected
     failures = []
-    checked = 0
-    for x in range(lx + 2):
-        for y in range(ly + 2):
-            for z in range(lz + 2):
-                if 1 <= x <= lx and 1 <= y <= ly and 1 <= z <= lz:
-                    continue
-                checked += 1
-                owner_coords = []
-                local_site = []
-                missing = False
-                for c, h, n, L, per in zip(
-                    coords, (x, y, z), topo.dims, local_dims, topo.periodic
-                ):
-                    g = c * L + (h - 1)
-                    if per:
-                        g %= n * L
-                    elif not 0 <= g < n * L:
-                        missing = True
-                        break
-                    owner_coords.append(g // L)
-                    local_site.append(g % L + 1)
-                if missing:
-                    expected = np.zeros(m)
-                else:
-                    owner = topo.cart_rank(owner_coords)
-                    expected = np.array([
-                        encode_boundary_value(owner, local_site, i, local_dims)
-                        for i in range(m)
-                    ])
-                got = data[x, y, z, :]
-                if not np.array_equal(got, expected):
-                    bad = int(np.nonzero(got != expected)[0][0])
-                    failures.append(HaloMismatch(
-                        strategy, rank, (x, y, z), bad,
-                        float(expected[bad]), float(got[bad]),
-                    ))
-    return checked, failures
+    for x, y, z in np.argwhere(halo & wrong.any(axis=-1)).tolist():
+        i = int(np.argmax(wrong[x, y, z]))
+        failures.append(HaloMismatch(
+            strategy, rank, (x, y, z), i,
+            float(expected[x, y, z, i]), float(data[x, y, z, i]),
+        ))
+    return int(halo.sum()), failures
 
 
 def run_test_halo(cfg, strategies=("blocking", "nonblocking")):

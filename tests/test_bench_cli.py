@@ -147,6 +147,46 @@ class TestRunBenchmark:
         assert record.repetitions == 1
 
 
+
+def _loop_verify(data, topo, rank, local_dims, m, strategy="?"):
+    """Site-by-site halo check, the reference for ``verify_halo_pattern``."""
+    from halolab.runner import HaloMismatch
+
+    lx, ly, lz = local_dims
+    coords = topo.cart_coords(rank)
+    failures = []
+    checked = 0
+    for x in range(lx + 2):
+        for y in range(ly + 2):
+            for z in range(lz + 2):
+                if 1 <= x <= lx and 1 <= y <= ly and 1 <= z <= lz:
+                    continue
+                checked += 1
+                owner_coords, local_site = [], []
+                for c, h, n, L, per in zip(coords, (x, y, z), topo.dims, local_dims,
+                                           topo.periodic):
+                    g = c * L + (h - 1)
+                    if per:
+                        g %= n * L
+                    elif not 0 <= g < n * L:
+                        break
+                    owner_coords.append(g // L)
+                    local_site.append(g % L + 1)
+                if len(local_site) < 3:
+                    expected = np.zeros(m)
+                else:
+                    sx, sy, sz = local_site
+                    owner = topo.cart_rank(owner_coords)
+                    code = ((owner * (lx + 2) + sx) * (ly + 2) + sy) * (lz + 2) + sz
+                    expected = np.array([float(code * 32 + i + 1) for i in range(m)])
+                got = data[x, y, z, :]
+                if not np.array_equal(got, expected):
+                    bad = int(np.nonzero(got != expected)[0][0])
+                    failures.append(HaloMismatch(strategy, rank, (x, y, z), bad,
+                                                 float(expected[bad]), float(got[bad])))
+    return checked, failures
+
+
 class TestTestHalo:
     @pytest.mark.parametrize("proc", [(1, 1, 1), (2, 2, 1)])
     def test_passes_both_strategies(self, proc):
@@ -178,6 +218,37 @@ class TestTestHalo:
         f = failures[0]
         assert f.site == (0, 2, 2) and f.component == 1
         assert f.got == f.expected + 5.0
+
+    @pytest.mark.parametrize("proc, periodic", [
+        ((1, 1, 1), True), ((2, 2, 1), False), ((2, 1, 2), True),
+    ])
+    def test_matches_site_by_site_reference(self, proc, periodic):
+        # the vectorised verifier reports exactly what a loop over the halo
+        # sites reports: count, sites in order, first wrong component, values
+        from halolab.halo import HaloBuffers, exchange
+        from halolab.runner import run_ranks
+
+        topo = CartesianTopology(proc, periodic=periodic)
+        local, m = (3, 2, 4), 5
+
+        def body(ctx):
+            field = make_pattern_field(local, m, ctx.rank)
+            exchange(field, topo, HaloBuffers(topo, ctx.rank, local, m, ctx.endpoint),
+                     "nonblocking")
+            return field.data.copy()
+
+        datas = run_ranks(topo.nranks, body, watchdog_seconds=5.0)
+        rng = np.random.default_rng(8)
+        for rank, data in enumerate(datas):
+            assert verify_halo_pattern(data, topo, rank, local, m) == (
+                _loop_verify(data, topo, rank, local, m))
+            for _ in range(6):
+                x, y, z = (int(rng.integers(0, n + 2)) for n in local)
+                data[x, y, z, int(rng.integers(0, m))] = rng.choice([np.nan, -1.0, 0.0])
+            data[-1, 0, 0, 2:] += 1.0
+            got = verify_halo_pattern(data, topo, rank, local, m, "nonblocking")
+            assert repr(got) == repr(_loop_verify(data, topo, rank, local, m, "nonblocking"))
+            assert got[1]
 
     def test_report_describes_failure(self):
         topo = CartesianTopology((1, 1, 1))

@@ -337,6 +337,36 @@ class TestConsecutiveExchanges:
             assert len(keys) <= 32
 
 
+class TestWireContent:
+    """Every message carries its sites in ascending (x, y, z) order with the
+    m components of a site together, whatever the field's storage order."""
+
+    @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 2, 1)])
+    def test_packed_bytes_are_site_major(self, dims, strategy):
+        m = 19
+        topo = CartesianTopology((1, 1, 1))
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, size=dims + (m,))
+        # a single periodic rank's halo is the wrap of its own interior
+        ref = np.pad(values, [(1, 1)] * 3 + [(0, 0)], mode="wrap")
+
+        def body(ctx):
+            f = lattice.DistributionField(dims, m)
+            f.interior()[...] = values
+            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
+            exchange(f, topo, buffers, strategy)
+            return buffers
+
+        buffers = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        if strategy == "blocking":
+            messages = [msg for stage in buffers.stages for msg in stage]
+        else:
+            messages = buffers.direct
+        assert len(messages) == (6 if strategy == "blocking" else 26)
+        for msg in messages:
+            assert bytes(msg.view) == np.ascontiguousarray(ref[msg.send_slices]).tobytes()
+
+
 class TestMultiRankConservation:
     def test_exchange_stream_conserves_mass(self):
         vs = lattice.d3q19()
