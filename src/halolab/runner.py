@@ -322,8 +322,7 @@ def verify_halo_pattern(data, topo, rank, local_dims, m, strategy="?"):
         owner.append((g // L).reshape(shape))
         local.append((g % L + 1).reshape(shape))
         present.append(((0 <= g) & (g < n * L)).reshape(shape))
-    _, py, pz = topo.dims
-    owner_rank = (owner[0] * py + owner[1]) * pz + owner[2]
+    owner_rank = topo.row_major_rank(*owner)
     values = encode_boundary_value(owner_rank, local, np.arange(m), local_dims)
     expected = np.where(present[0] & present[1] & present[2], values, 0.0)
     halo = np.ones(data.shape[:3], dtype=bool)
@@ -390,10 +389,11 @@ def run_physics(cfg, strategy, steps):
     proc, local, _ = cfg.resolve_dims()
     topo = CartesianTopology(proc, periodic=cfg.periodic)
     vs = lattice.velocity_set_for(cfg.m)
+    fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
 
     def body(ctx):
-        field = lattice.random_state(local, vs, _rank_rng(cfg, ctx.rank))
-        alt = lattice.DistributionField(local, cfg.m)
+        field, alt = fields[ctx.rank]
+        fields[ctx.rank] = None
         buffers = HaloBuffers(topo, ctx.rank, local, cfg.m, ctx.endpoint)
 
         def halo(fld):

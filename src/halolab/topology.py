@@ -94,7 +94,10 @@ class CartesianTopology:
 
     def cart_rank(self, coords):
         """Row-major rank of (possibly out-of-range, periodic) coordinates."""
-        x, y, z = self.wrap(coords)
+        return self.row_major_rank(*self.wrap(coords))
+
+    def row_major_rank(self, x, y, z):
+        """Rank of in-range coordinates; x, y, z may be broadcasting arrays."""
         _, py, pz = self.dims
         return (x * py + y) * pz + z
 

@@ -269,14 +269,10 @@ def test_criterion_7_overlap_efficacy():
             def overlapped_step():
                 step_with_overlap(f, topo, buffers, OverlapWorkload(intensity))
 
-            # interleaved rounds: a host-side stall window has to cover every
-            # sample of a quantity to bias its minimum.  On a shared 2-vCPU
-            # host the same workload call runs anywhere from 1x to 2.2x its
-            # floor, in slow and fast phases that last a round or more, so
-            # each quantity needs enough rounds to land in a fast phase;
-            # with five rounds the test failed in five of seven runs
+            # five interleaved rounds: a host-side stall window has to cover
+            # every sample of a quantity to bias its minimum
             work = serial = overlapped = float("inf")
-            for _ in range(24):
+            for _ in range(5):
                 work = min(work, once(workload_step))
                 serial = min(serial, once(serial_step))
                 overlapped = min(overlapped, once(overlapped_step))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,15 @@ class TestCartRank:
                 for z in range(-3, 6):
                     wrapped = topo.wrap((x, y, z))
                     assert topo.cart_coords(topo.cart_rank((x, y, z))) == wrapped
+
+    def test_row_major_rank_on_arrays(self):
+        topo = CartesianTopology((5, 4, 3))
+        x, y, z = np.ix_(range(5), range(4), range(3))
+        ranks = topo.row_major_rank(x, y, z)
+        assert ranks.shape == (5, 4, 3)
+        assert ranks.ravel().tolist() == list(range(topo.nranks))
+        for r in range(topo.nranks):
+            assert ranks[topo.cart_coords(r)] == r
 
     def test_bad_rank(self):
         topo = CartesianTopology((2, 2, 2))
