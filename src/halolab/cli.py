@@ -12,10 +12,10 @@ from pathlib import Path
 from .config import build_config
 from .errors import ConfigurationError
 from .halo import blocking_message_sites, nonblocking_message_sites
-from .metrics import CostModelParams, comm_work_ratio, comm_work_ratio_cubic, total_cost
+from .metrics import comm_work_ratio, comm_work_ratio_cubic, total_cost
 from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv
 from .runner import run_benchmark, run_regression, run_test_halo
-from .transport import bandwidth_sweep, detect_plateau
+from .transport import TransportModel, bandwidth_sweep, detect_plateau
 
 _CONFIG_FLAGS = [
     # (flag, config key)
@@ -126,7 +126,7 @@ def _cmd_pingpong(args):
 
 
 def _cmd_model(args):
-    params = CostModelParams(args.latency_us * 1e-6, args.bandwidth_mbps)
+    params = TransportModel(args.latency_us * 1e-6, args.bandwidth_mbps)
     outdir = Path(args.output or "model_out")
     outdir.mkdir(parents=True, exist_ok=True)
     m = args.m

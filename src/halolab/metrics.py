@@ -12,31 +12,11 @@ from dataclasses import dataclass
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class CostModelParams:
-    """Latency l (seconds) and bandwidth B (MBytes/s) of the message cost model."""
+def total_cost(model, message_sizes):
+    """Total time for a message inventory under a ``transport.TransportModel``:
+    N*l + (sum of sizes)/B.
 
-    latency_s: float
-    bandwidth_MBps: float
-
-    def __post_init__(self):
-        if self.latency_s < 0.0:
-            raise ValueError("latency must be non-negative")
-        if not self.bandwidth_MBps > 0.0:
-            raise ValueError("bandwidth must be positive")
-
-
-def message_cost(params, m_bytes):
-    """Time to move one message: t = l + m/B."""
-    if m_bytes < 0:
-        raise ValueError("message size must be non-negative")
-    return params.latency_s + m_bytes / (params.bandwidth_MBps * 1e6)
-
-
-def total_cost(params, message_sizes):
-    """Total time for a message inventory: N*l + (sum of sizes)/B.
-
-    Algebraically the sum of message_cost over the list, regrouped so the
+    Algebraically the sum of ``model.delay`` over the list, regrouped so the
     latency term is exactly N*l; the cost difference between two
     inventories with equal total bytes is then pure latency.
     """
@@ -44,8 +24,8 @@ def total_cost(params, message_sizes):
     for s in sizes:
         if s < 0:
             raise ValueError("message size must be non-negative")
-    return len(sizes) * params.latency_s + math.fsum(sizes) / (
-        params.bandwidth_MBps * 1e6
+    return len(sizes) * model.latency_s + math.fsum(sizes) / (
+        model.bandwidth_MBps * 1e6
     )
 
 

@@ -18,9 +18,23 @@ was sent.  A halo message thus costs pack (field to send buffer), one
 delivery copy and unpack (payload to field).
 
 All fabric state sits under one lock, shared by one condition per rank.
-A post that completes another rank's handle notifies that rank's
-condition only: the destination on ``post_send``, the source on
-``post_recv``.  ``abort`` notifies every rank.
+Posts take the lock.  A send without a cost model that finds its receive
+already posted copies the payload there and then, so both handles are
+complete when ``post_send`` returns.  A post that completes another
+rank's handle notifies that rank's condition only: the destination on
+``post_send``, the source on ``post_recv``.  ``abort`` notifies every rank.
+
+A wait first scans its handles without the lock.  A handle's state only
+moves forward (pending, matched, complete), a delivery marks it matched
+after writing its payload, error and completion time, and only the
+waiting rank consumes a handle, so what the scan finds complete stays
+complete.  ``wait_all`` over complete handles, and ``wait_any`` whose
+first live handle (one it has not yet returned) is complete, thus return
+after that one scan.  The abort is still checked first, on every pass: an
+aborted fabric raises ``TransportAborted`` even over complete handles.
+A scan that finds an unmatched handle is repeated under the lock, and
+only then does the rank sleep, woken by the matching post or the abort
+and bounded by the watchdog.
 
 An optional cost model delays completion of every message by
 ``latency + nbytes / bandwidth``; the delays are serialised per sending
@@ -34,7 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -60,6 +74,9 @@ class TransportModel:
             raise ValueError("bandwidth must be positive")
 
     def delay(self, nbytes):
+        """Time to move one message of ``nbytes``: t = l + m/B."""
+        if nbytes < 0:
+            raise ValueError("message size must be non-negative")
         return self.latency_s + nbytes / (self.bandwidth_MBps * 1e6)
 
 
@@ -139,8 +156,10 @@ class RequestHandle:
 class Fabric:
     """Delivery substrate shared by all rank endpoints.
 
-    Internally synchronised; safe for concurrent posts and waits from all
-    rank threads.  Waits block only their calling thread.
+    Holds the shared state: the lock, one condition per rank, the pending
+    queues and the injection pipes.  The posts and waits themselves are
+    ``Endpoint`` methods.  Safe for concurrent posts and waits from all rank
+    threads; waits block only their calling thread.
     """
 
     def __init__(self, nranks, watchdog_seconds=30.0, model=None):
@@ -155,9 +174,10 @@ class Fabric:
         self._lock = threading.Lock()
         # one condition per rank, woken when a post completes one of its handles
         self._conds = [threading.Condition(self._lock) for _ in range(nranks)]
-        # pending queues keyed by dest, then (source, tag); FIFO per key
-        self._sends = {r: {} for r in range(nranks)}
-        self._recvs = {r: {} for r in range(nranks)}
+        # pending queues indexed by dest, then keyed by (source, tag); FIFO per
+        # key.  Emptied queues are kept, so a reused key allocates nothing
+        self._sends = [defaultdict(deque) for _ in range(nranks)]
+        self._recvs = [defaultdict(deque) for _ in range(nranks)]
         self._pipe_free = [0.0] * nranks
         self._aborted = None
 
@@ -174,16 +194,12 @@ class Fabric:
             for cond in self._conds:
                 cond.notify_all()
 
-    def _check_abort(self):
-        if self._aborted is not None:
-            raise TransportAborted(f"fabric aborted: {self._aborted}")
-
     def pending_summary(self):
         """All unmatched posted requests as (kind, source, dest, tag)."""
         with self._lock:
             out = []
             for queues in (self._sends, self._recvs):
-                for per_dest in queues.values():
+                for per_dest in queues:
                     for q in per_dest.values():
                         out.extend(h.triple() for h in q)
             return sorted(out)
@@ -198,144 +214,32 @@ class Fabric:
                 pending=leftovers,
             )
 
-    # -- internals -------------------------------------------------------
 
-    @staticmethod
-    def _deliver(send_h, recv_h):
-        if send_h.nbytes > recv_h.capacity:
-            err = MessageTruncation(
-                f"payload of {send_h.nbytes} bytes from rank {send_h.source} "
-                f"(tag {send_h.tag}) exceeds receive capacity {recv_h.capacity}"
-            )
-            send_h._error = err
-            recv_h._error = err
-        else:
-            # the one copy of a message: the sender's buffer into new bytes
-            recv_h.payload = bytes(send_h._send_payload)
-        ready = send_h._ready
-        if ready is not None and ready < perf_counter():
-            ready = None
-        send_h._ready = ready
-        recv_h._ready = ready
-        send_h._matched = True
-        recv_h._matched = True
-        send_h._send_payload = None
-
-    @staticmethod
-    def _enqueue(queues, key, h):
-        # queues are kept once emptied, so a reused key allocates nothing
-        q = queues.get(key)
-        if q is None:
-            q = queues[key] = deque()
-        q.append(h)
-
-    def _post_send(self, source, dest, tag, payload):
-        if not 0 <= dest < self.nranks:
-            raise ValueError(f"invalid destination rank {dest}")
-        if tag < 0:
-            raise ValueError("tag must be non-negative")
-        payload = memoryview(payload)
-        h = RequestHandle("send", source, dest, tag, payload.nbytes)
-        h._send_payload = payload
-        key = (source, tag)
-        with self._lock:
-            self._check_abort()
-            if self.model is not None:
-                start = max(perf_counter(), self._pipe_free[source])
-                h._ready = start + self.model.delay(h.nbytes)
-                self._pipe_free[source] = h._ready
-            waiting = self._recvs[dest].get(key)
-            if waiting:
-                self._deliver(h, waiting.popleft())
-                if dest != source:  # a rank that posts is not waiting
-                    self._conds[dest].notify_all()
-            else:
-                self._enqueue(self._sends[dest], key, h)
-        return h
-
-    def _post_recv(self, dest, source, tag, capacity):
-        if not 0 <= source < self.nranks:
-            raise ValueError(f"invalid source rank {source}")
-        if tag < 0:
-            raise ValueError("tag must be non-negative")
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        h = RequestHandle("recv", source, dest, tag, 0, capacity)
-        key = (source, tag)
-        with self._lock:
-            self._check_abort()
-            waiting = self._sends[dest].get(key)
-            if waiting:
-                self._deliver(waiting.popleft(), h)
-                if source != dest:
-                    self._conds[source].notify_all()
-            else:
-                self._enqueue(self._recvs[dest], key, h)
-        return h
-
-    def _wait(self, rank, handles, wait_any):
-        """Block rank until every handle, or with wait_any one unconsumed
-        handle, has completed; wait_any consumes and returns its index.
-
-        Each pass is one scan of the handles under the lock.  Unmatched
-        handles sleep on the rank's condition (woken by the matching post,
-        or polled every 50 ms) under the watchdog; matched handles whose
-        modelled completion lies ahead are spun to outside the lock.
-        """
-        if wait_any and not handles:
-            raise UsageError("wait_any needs a non-empty handle list")
-        cond = self._conds[rank]
-        deadline = None
-        while True:
-            with self._lock:
-                self._check_abort()
-                now = perf_counter()
-                live = unmatched = False
-                # the earliest (wait_any) or latest modelled completion ahead
-                target = None
-                for i, h in enumerate(handles):
-                    if wait_any:
-                        if h._consumed:
-                            continue
-                        live = True
-                    if h._error is not None:
-                        if wait_any:
-                            h._consumed = True
-                        raise h._error
-                    if not h._matched:
-                        unmatched = True
-                    elif h._ready is not None and h._ready > now:
-                        if target is None or (h._ready < target if wait_any else h._ready > target):
-                            target = h._ready
-                    elif wait_any:
-                        h._consumed = True
-                        return i
-                if wait_any and not live:
-                    raise UsageError("every handle was already consumed by wait_any")
-                if unmatched:
-                    if deadline is None:
-                        deadline = time.monotonic() + self.watchdog_seconds
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        pend = sorted(h.triple() for h in handles if not h._matched)
-                        raise TransportDeadlock(
-                            f"wait timed out after {self.watchdog_seconds:.1f}s; "
-                            f"unmatched: {pend}",
-                            pending=pend,
-                        )
-                    timeout = min(remaining, 0.05)
-                    if wait_any and target is not None:
-                        # a matched handle may complete before any post arrives
-                        timeout = min(timeout, target - now)
-                    cond.wait(timeout)
-                    continue
-                if target is None:
-                    return None
-            _sleep_until(target)
+def _deliver(send_h, recv_h):
+    # called under the fabric lock; _matched is written last, so a lock-free
+    # reader that sees it set also sees the payload, error and ready time
+    if send_h.nbytes > recv_h.capacity:
+        err = MessageTruncation(
+            f"payload of {send_h.nbytes} bytes from rank {send_h.source} "
+            f"(tag {send_h.tag}) exceeds receive capacity {recv_h.capacity}"
+        )
+        send_h._error = err
+        recv_h._error = err
+    else:
+        # the one copy of a message: the sender's buffer into new bytes
+        recv_h.payload = bytes(send_h._send_payload)
+    ready = send_h._ready
+    if ready is not None and ready < perf_counter():
+        ready = None
+    send_h._ready = ready
+    recv_h._ready = ready
+    send_h._send_payload = None
+    send_h._matched = True
+    recv_h._matched = True
 
 
 class Endpoint:
-    """One rank's interface to the fabric."""
+    """One rank's interface to the fabric: its posts and waits."""
 
     __slots__ = ("fabric", "rank")
 
@@ -345,24 +249,167 @@ class Endpoint:
 
     def post_send(self, dest, tag, payload):
         """Non-blocking synchronous send; completes only after the matching
-        receive has been posted and the payload handed over.  The payload
-        buffer is not copied here: leave it unwritten until the send completes."""
-        return self.fabric._post_send(self.rank, dest, tag, payload)
+        receive has been posted and the payload handed over.  Unless that
+        receive is already posted, the payload buffer is not copied here:
+        leave it unwritten until the send completes."""
+        fabric = self.fabric
+        if not 0 <= dest < fabric.nranks:
+            raise ValueError(f"invalid destination rank {dest}")
+        if tag < 0:
+            raise ValueError("tag must be non-negative")
+        payload = memoryview(payload)
+        nbytes = payload.nbytes
+        source = self.rank
+        h = RequestHandle("send", source, dest, tag, nbytes)
+        key = (source, tag)
+        lock = fabric._lock
+        lock.acquire()
+        try:
+            if fabric._aborted is not None:
+                raise TransportAborted(f"fabric aborted: {fabric._aborted}")
+            model = fabric.model
+            if model is not None:
+                start = max(perf_counter(), fabric._pipe_free[source])
+                h._ready = fabric._pipe_free[source] = start + model.delay(nbytes)
+            waiting = fabric._recvs[dest].get(key)
+            if waiting:
+                recv_h = waiting.popleft()
+                if model is None and nbytes <= recv_h.capacity:
+                    # the common case, delivered here: one copy, no ready time
+                    recv_h.payload = bytes(payload)
+                    h._matched = recv_h._matched = True
+                else:
+                    h._send_payload = payload
+                    _deliver(h, recv_h)
+                if dest != source:  # a rank that posts is not waiting
+                    fabric._conds[dest].notify_all()
+            else:
+                h._send_payload = payload
+                fabric._sends[dest][key].append(h)
+        finally:
+            lock.release()
+        return h
 
     def post_recv(self, source, tag, capacity):
         """Non-blocking receive of up to ``capacity`` bytes from (source, tag)."""
-        return self.fabric._post_recv(self.rank, source, tag, capacity)
+        fabric = self.fabric
+        if not 0 <= source < fabric.nranks:
+            raise ValueError(f"invalid source rank {source}")
+        if tag < 0:
+            raise ValueError("tag must be non-negative")
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
+        dest = self.rank
+        h = RequestHandle("recv", source, dest, tag, 0, capacity)
+        key = (source, tag)
+        lock = fabric._lock
+        lock.acquire()
+        try:
+            if fabric._aborted is not None:
+                raise TransportAborted(f"fabric aborted: {fabric._aborted}")
+            waiting = fabric._sends[dest].get(key)
+            if waiting:
+                _deliver(waiting.popleft(), h)
+                if source != dest:
+                    fabric._conds[source].notify_all()
+            else:
+                fabric._recvs[dest][key].append(h)
+        finally:
+            lock.release()
+        return h
 
     def wait_all(self, handles):
         """Block until every handle in the list has completed."""
-        self.fabric._wait(self.rank, handles, False)
+        self._wait(False, handles)
 
     def wait_any(self, handles):
         """Block until one not-yet-returned handle completes; return its index.
 
         Repeated calls over the same list yield each index exactly once.
         """
-        return self.fabric._wait(self.rank, handles, True)
+        return self._wait(True, handles)
+
+    def _wait(self, wait_any, handles):
+        """Block until every handle, or with wait_any one unconsumed handle,
+        has completed; wait_any consumes and returns its index.
+
+        Each pass checks the abort, then scans the handles once; the first
+        pass runs without the lock (see the module docstring).  A pass that
+        finds an unmatched handle is repeated under the lock before the
+        rank sleeps on its condition (woken by the matching post, or polled
+        every 50 ms) under the watchdog.  Matched handles whose modelled
+        completion lies ahead are spun to outside the lock.
+        """
+        if wait_any and not handles:
+            raise UsageError("wait_any needs a non-empty handle list")
+        fabric = self.fabric
+        lock = fabric._lock
+        locked = False
+        deadline = None
+        try:
+            while True:
+                if fabric._aborted is not None:
+                    raise TransportAborted(f"fabric aborted: {fabric._aborted}")
+                live = unmatched = False
+                # the earliest (wait_any) or latest modelled completion ahead;
+                # only a modelled handle has a completion time to compare
+                target = None
+                now = perf_counter() if fabric.model is not None else None
+                for i, h in enumerate(handles):
+                    if wait_any:
+                        if h._consumed:
+                            continue
+                        live = True
+                    # _matched before _error: a delivery writes them in the
+                    # other order, so this read order cannot miss an error
+                    if not h._matched:
+                        unmatched = True
+                        continue
+                    if h._error is not None:
+                        if wait_any:
+                            h._consumed = True
+                        raise h._error
+                    ready = h._ready
+                    if ready is not None and ready > now:
+                        if target is None or (ready < target if wait_any else ready > target):
+                            target = ready
+                    elif wait_any:
+                        h._consumed = True
+                        return i
+                if wait_any and not live:
+                    raise UsageError("every handle was already consumed by wait_any")
+                if unmatched:
+                    if not locked:
+                        # scan again under the lock, so that no post can
+                        # match between the scan and the sleep unnoticed
+                        lock.acquire()
+                        locked = True
+                        continue
+                    if deadline is None:
+                        deadline = time.monotonic() + fabric.watchdog_seconds
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0:
+                        pend = sorted(h.triple() for h in handles if not h._matched)
+                        raise TransportDeadlock(
+                            f"wait timed out after {fabric.watchdog_seconds:.1f}s; "
+                            f"unmatched: {pend}",
+                            pending=pend,
+                        )
+                    timeout = min(remaining, 0.05)
+                    if wait_any and target is not None:
+                        # a matched handle may complete before any post arrives
+                        timeout = min(timeout, target - now)
+                    fabric._conds[self.rank].wait(timeout)
+                    continue
+                if target is None:
+                    return None
+                if locked:
+                    lock.release()
+                    locked = False
+                _sleep_until(target)
+        finally:
+            if locked:
+                lock.release()
 
 
 def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):

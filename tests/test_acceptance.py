@@ -31,6 +31,11 @@ def _pass(n, message):
     print(f"PASS criterion {n}: {message}")
 
 
+def _ms(samples):
+    """Timing samples in ms, for failure messages that show every sample."""
+    return "[" + ", ".join(f"{t * 1e3:.3f}" for t in samples) + "] ms"
+
+
 def _shells_for(proc_dims, dims, m, seed, watchdog=15.0):
     topo = CartesianTopology(proc_dims)
 
@@ -176,14 +181,15 @@ def test_criterion_5_cost_model_latency_gap():
     for latency in (1e-4, 1e-3):
         # finely interleave the two strategies so a host-side stall window
         # cannot inflate only one side of the difference
-        t_blocking = t_nonblocking = float("inf")
+        blocking, nonblocking = [], []
         for _ in range(4):
-            t_blocking = min(t_blocking, _timed_exchange("blocking", latency, iters=6))
-            t_nonblocking = min(t_nonblocking, _timed_exchange("nonblocking", latency, iters=6))
-        gap = t_nonblocking - t_blocking
+            blocking.append(_timed_exchange("blocking", latency, iters=6))
+            nonblocking.append(_timed_exchange("nonblocking", latency, iters=6))
+        gap = min(nonblocking) - min(blocking)
         target = 20.0 * latency
         assert abs(gap - target) <= 0.15 * target, (
-            f"l={latency}: gap {gap * 1e3:.3f} ms vs 20*l = {target * 1e3:.3f} ms"
+            f"l={latency}: gap {gap * 1e3:.3f} ms vs 20*l = {target * 1e3:.3f} ms; "
+            f"blocking minima {_ms(blocking)}, nonblocking minima {_ms(nonblocking)}"
         )
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -271,27 +277,29 @@ def test_criterion_7_overlap_efficacy():
 
             # five interleaved rounds: a host-side stall window has to cover
             # every sample of a quantity to bias its minimum
-            work = serial = overlapped = float("inf")
+            works, serials, overlaps = [], [], []
             for _ in range(5):
-                work = min(work, once(workload_step))
-                serial = min(serial, once(serial_step))
-                overlapped = min(overlapped, once(overlapped_step))
-            results.append((comm, work, serial, overlapped))
+                works.append(once(workload_step))
+                serials.append(once(serial_step))
+                overlaps.append(once(overlapped_step))
+            results.append((comm, works, serials, overlaps))
         return results
 
-    for comm, work, serial, overlapped in run_ranks(
+    for comm, works, serials, overlaps in run_ranks(
         1, body, watchdog_seconds=60.0, model=model
     )[0]:
+        work, serial, overlapped = min(works), min(serials), min(overlaps)
+        samples = f"; W {_ms(works)}, serial {_ms(serials)}, overlapped {_ms(overlaps)}"
         assert overlapped <= 1.2 * max(comm, work), (
             f"W={work * 1e3:.1f}ms C={comm * 1e3:.1f}ms: overlapped "
-            f"{overlapped * 1e3:.1f}ms > 1.2*max(C,W)"
+            f"{overlapped * 1e3:.1f}ms > 1.2*max(C,W)" + samples
         )
         assert serial >= 0.95 * (comm + work), (
             f"W={work * 1e3:.1f}ms C={comm * 1e3:.1f}ms: serial "
-            f"{serial * 1e3:.1f}ms below 0.95*(C+W)"
+            f"{serial * 1e3:.1f}ms below 0.95*(C+W)" + samples
         )
         assert overlapped < serial, (
-            f"W={work * 1e3:.1f}ms: overlap did not beat the serial step"
+            f"W={work * 1e3:.1f}ms: overlap did not beat the serial step" + samples
         )
     _pass(7, f"overlap step <= 1.2*max(C,W), serial >= 0.95*(C+W) and "
              f"overlapped < serial for W in [0.5C, 2C] (C = {comm * 1e3:.1f} ms)")

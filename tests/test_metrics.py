@@ -7,49 +7,48 @@ from hypothesis import strategies as st
 from halolab.errors import ConfigurationError
 from halolab.metrics import (
     BenchRecord,
-    CostModelParams,
     comm_work_ratio,
     comm_work_ratio_cubic,
     effective_bandwidth,
     efficiency,
     halo_sites,
     mean,
-    message_cost,
     speedup,
     stddev,
     total_cost,
     updates_per_core,
 )
+from halolab.transport import TransportModel
 
 
 class TestMessageCost:
     def test_one_second_message(self):
-        assert message_cost(CostModelParams(0.0, 1.0), 10**6) == 1.0
+        assert TransportModel(0.0, 1.0).delay(10**6) == 1.0
 
     def test_zero_size_is_pure_latency(self):
-        assert message_cost(CostModelParams(2.5e-6, 350.0), 0) == 2.5e-6
+        assert TransportModel(2.5e-6, 350.0).delay(0) == 2.5e-6
 
     def test_saturated_plateau_value(self):
         # 0.5 MB at 350 MB/s plus 1 us of latency
-        t = message_cost(CostModelParams(1e-6, 350.0), 500_000)
+        t = TransportModel(1e-6, 350.0).delay(500_000)
         assert t == pytest.approx(1.4296e-3, rel=1e-3)
         assert t == pytest.approx(1e-6 + 0.5 / 350.0, rel=1e-15)
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
-            message_cost(CostModelParams(0.0, 1.0), -1)
+            TransportModel(0.0, 1.0).delay(-1)
 
 
 class TestTotalCost:
     def test_empty_inventory(self):
-        assert total_cost(CostModelParams(1e-3, 10.0), []) == 0.0
+        assert total_cost(TransportModel(1e-3, 10.0), []) == 0.0
 
     def test_single_message_equals_message_cost(self):
-        p = CostModelParams(2e-6, 350.0)
-        assert total_cost(p, [12345]) == message_cost(p, 12345)
+        p = TransportModel(2e-6, 350.0)
+        assert total_cost(p, [12345]) == p.delay(12345)
 
     def test_latency_gap_26_vs_6(self):
-        p = CostModelParams(1e-4, 100.0)
+        p = TransportModel(1e-4, 100.0)
         total = 6 * 19 * 8 * 16 * 16
         sizes_6 = [total // 6] * 6
         sizes_26 = [total // 26] * 25 + [total - 25 * (total // 26)]
@@ -62,7 +61,7 @@ class TestTotalCost:
         # zero-byte inventories isolate the latency term; dyadic latency
         # keeps n*l exact, so the difference is bitwise (n-6)*l
         latency = latency_ticks * 2.0**-24
-        p = CostModelParams(latency, 350.0)
+        p = TransportModel(latency, 350.0)
         diff = total_cost(p, [0] * n) - total_cost(p, [0] * 6)
         assert diff == (n - 6) * latency
 
@@ -73,7 +72,7 @@ class TestTotalCost:
     )
     @settings(max_examples=60)
     def test_difference_is_pure_latency_with_payload(self, n, latency, total_kb):
-        p = CostModelParams(latency, 350.0)
+        p = TransportModel(latency, 350.0)
         total = total_kb * 1024
         base = total // n
         sizes_n = [base] * (n - 1) + [total - base * (n - 1)]
@@ -86,7 +85,7 @@ class TestTotalCost:
         assert t_n - t_6 == pytest.approx((n - 6) * latency, rel=1e-9, abs=tolerance)
 
     def test_monotone_in_count_for_fixed_bytes(self):
-        p = CostModelParams(5e-5, 350.0)
+        p = TransportModel(5e-5, 350.0)
         costs = [total_cost(p, [6000 // n] * n) for n in (1, 2, 3, 6)]
         assert costs == sorted(costs)
 

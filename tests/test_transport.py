@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from halolab.errors import (
     MessageTruncation,
@@ -175,6 +181,56 @@ class TestWaits:
         assert ("send", 0, 1, 4) in err.value.pending
 
 
+class TestCompleteHandles:
+    """Waits over handles that are already complete return after one scan,
+    and still honour the abort, the cost model and truncation."""
+
+    def test_wait_any_returns_a_complete_first_handle_and_consumes_it(self):
+        fabric = Fabric(1, watchdog_seconds=2.0)
+        ep = fabric.endpoint(0)
+        done = ep.post_recv(0, 0, 8)
+        ep.post_send(0, 0, b"complete")
+        never = ep.post_recv(0, 1, 8)
+        assert ep.wait_any([done, never]) == 0
+        assert done.payload == b"complete"
+        with pytest.raises(UsageError):
+            ep.wait_any([done])
+
+    @pytest.mark.parametrize("wait", ["wait_any", "wait_all"])
+    def test_abort_is_raised_over_complete_handles(self, wait):
+        fabric = Fabric(1, watchdog_seconds=2.0)
+        ep = fabric.endpoint(0)
+        rh = ep.post_recv(0, 0, 8)
+        sh = ep.post_send(0, 0, b"complete")
+        assert rh.state == sh.state == "complete"
+        fabric.abort("test abort")
+        with pytest.raises(TransportAborted):
+            getattr(ep, wait)([rh, sh])
+
+    def test_modelled_send_is_not_returned_before_its_time(self):
+        model = TransportModel(latency_s=0.05, bandwidth_MBps=1e6)
+        fabric = Fabric(1, watchdog_seconds=5.0, model=model)
+        ep = fabric.endpoint(0)
+        rh = ep.post_recv(0, 0, 8)
+        t0 = time.perf_counter()
+        sh = ep.post_send(0, 0, b"12345678")
+        assert sh.state == "pending"  # matched, but its completion lies ahead
+        assert ep.wait_any([sh, rh]) == 0
+        assert time.perf_counter() - t0 >= 0.045
+        assert sh.state == "complete"
+
+    @pytest.mark.parametrize("wait", ["wait_any", "wait_all"])
+    def test_truncation_is_raised_from_a_complete_handle(self, wait):
+        fabric = Fabric(1, watchdog_seconds=2.0)
+        ep = fabric.endpoint(0)
+        rh = ep.post_recv(0, 0, 4)
+        sh = ep.post_send(0, 0, b"way too long")  # meets its receive at once
+        for h in (rh, sh):
+            with pytest.raises(MessageTruncation):
+                getattr(ep, wait)([h])
+        assert rh.payload is None
+
+
 class TestWakeUps:
     """A rank blocked in a wait is woken by the post or abort that concerns it."""
 
@@ -253,7 +309,8 @@ class FabricMachine(RuleBasedStateMachine):
     dest, tag).  Waits only ever name matched handles, so nothing blocks;
     the short watchdog turns a wrongly pending handle into a failure.
     Every payload starts with a serial number, so a FIFO slip changes the
-    delivered bytes.
+    delivered bytes.  Once the fabric is aborted, with complete handles
+    outstanding, every post and wait must raise ``TransportAborted``.
     """
 
     ranks = st.integers(0, 1)
@@ -268,6 +325,7 @@ class FabricMachine(RuleBasedStateMachine):
         self.recvs = defaultdict(deque)  # key -> unmatched (handle, capacity)
         self.pairs = []  # (send, recv, bytes sent, array or None, truncated)
         self.fresh = []  # completed handles no wait_any has returned yet
+        self.aborted = False
 
     def _match(self, send, recv):
         (sh, sent, array), (rh, capacity) = send, recv
@@ -287,6 +345,10 @@ class FabricMachine(RuleBasedStateMachine):
             payload = memoryview(array)
         else:
             sent = payload = self.serial.to_bytes(4, "little") + body
+        if self.aborted:
+            with pytest.raises(TransportAborted):
+                self.eps[src].post_send(dest, tag, payload)
+            return
         sh = self.eps[src].post_send(dest, tag, payload)
         key = (src, dest, tag)
         if self.recvs[key]:
@@ -296,6 +358,10 @@ class FabricMachine(RuleBasedStateMachine):
 
     @rule(dest=ranks, src=ranks, tag=tags, capacity=st.integers(0, 200))
     def post_recv(self, dest, src, tag, capacity):
+        if self.aborted:
+            with pytest.raises(TransportAborted):
+                self.eps[dest].post_recv(src, tag, capacity)
+            return
         rh = self.eps[dest].post_recv(src, tag, capacity)
         key = (src, dest, tag)
         if self.sends[key]:
@@ -308,6 +374,10 @@ class FabricMachine(RuleBasedStateMachine):
     def wait_any(self, data, rank):
         handles = data.draw(st.lists(st.sampled_from(self.fresh), min_size=1, unique=True))
         ep = self.eps[rank]
+        if self.aborted:
+            with pytest.raises(TransportAborted):
+                ep.wait_any(handles)
+            return
         seen = [ep.wait_any(handles) for _ in handles]
         assert sorted(seen) == list(range(len(handles)))
         with pytest.raises(UsageError):
@@ -319,6 +389,10 @@ class FabricMachine(RuleBasedStateMachine):
     def wait_all(self, data, rank):
         sh, rh, sent, array, truncated = data.draw(st.sampled_from(self.pairs))
         ep = self.eps[rank]
+        if self.aborted:
+            with pytest.raises(TransportAborted):
+                ep.wait_all([sh, rh])
+            return
         if truncated:
             for h in (sh, rh):
                 with pytest.raises(MessageTruncation):
@@ -328,6 +402,18 @@ class FabricMachine(RuleBasedStateMachine):
         assert sh.state == rh.state == "complete"
         if array is not None:
             array += 1  # the send has completed, so its buffer is the sender's again
+
+    @initialize(sends=st.integers(1, 12))
+    def abort_after(self, sends):
+        # the abort is held back until this many sends have been posted, so
+        # runs keep a stretch of traffic before it (or never abort at all)
+        self.abort_at = sends
+
+    @precondition(lambda self: self.fresh and not self.aborted and self.serial >= self.abort_at)
+    @rule()
+    def abort(self):
+        self.fabric.abort("state machine abort")
+        self.aborted = True
 
     @invariant()
     def delivered_bytes_equal_sent_bytes(self):
@@ -342,6 +428,8 @@ class FabricMachine(RuleBasedStateMachine):
 
     def teardown(self):
         # match every leftover request, then shutdown must find nothing pending
+        if self.aborted:
+            return  # no post can match anything now; the rules checked that
         handles = []
         for (src, dest, tag), q in self.sends.items():
             handles.extend(self.eps[dest].post_recv(src, tag, 200) for _ in q)
@@ -450,10 +538,14 @@ class TestPingPong:
             ping_pong(4, 10)
 
     def test_elapsed_roughly_linear_in_round_trips(self):
-        small = min(ping_pong(65536, 40).elapsed_s for _ in range(3))
-        big = min(ping_pong(65536, 400).elapsed_s for _ in range(3))
-        ratio = big / small
-        assert 10 / 2 <= ratio <= 10 * 2
+        smalls = [ping_pong(65536, 40).elapsed_s for _ in range(3)]
+        bigs = [ping_pong(65536, 400).elapsed_s for _ in range(3)]
+        ratio = min(bigs) / min(smalls)
+        shown = [", ".join(f"{t * 1e3:.2f}" for t in ts) for ts in (smalls, bigs)]
+        assert 10 / 2 <= ratio <= 10 * 2, (
+            f"ratio {ratio:.2f} of best-of-3 elapsed times; "
+            f"40 trips [{shown[0]}] ms, 400 trips [{shown[1]}] ms"
+        )
 
     def test_sweep_monotone_then_plateau(self):
         from halolab.transport import plateau_level
