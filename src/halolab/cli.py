@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import build_config
+from .config import _KEY_SETTERS, build_config
 from .errors import ConfigurationError
 from .halo import blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, comm_work_ratio_cubic, total_cost
@@ -17,27 +17,9 @@ from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv
 from .runner import run_benchmark, run_regression, run_test_halo
 from .transport import TransportModel, bandwidth_sweep, detect_plateau
 
-_CONFIG_FLAGS = [
-    # (flag, config key)
-    ("--proc-dims", "proc_dims"),
-    ("--local-dims", "local_dims"),
-    ("--global-dims", "global_dims"),
-    ("--m", "m"),
-    ("--strategy", "strategy"),
-    ("--iterations", "iterations"),
-    ("--repetitions", "repetitions"),
-    ("--tau", "tau"),
-    ("--seed", "seed"),
-    ("--physics", "physics"),
-    ("--warmup", "warmup"),
-    ("--periodic", "periodic"),
-    ("--overlap-enabled", "overlap.enabled"),
-    ("--overlap-intensity", "overlap.intensity"),
-    ("--watchdog-seconds", "transport.watchdog_seconds"),
-    ("--model-latency-us", "transport.model.latency_us"),
-    ("--model-bandwidth-mbps", "transport.model.bandwidth_MBps"),
-    ("--output", "output"),
-]
+# (flag, config key): one flag per config key, spelt from its attribute
+_CONFIG_FLAGS = [("--" + attr.replace("_", "-").lower(), key)
+                 for key, (attr, _) in _KEY_SETTERS.items()]
 
 
 def _add_config_arguments(parser):

@@ -108,11 +108,6 @@ class RunConfig:
             global_ = tuple(l * p for l, p in zip(local, proc))
         return proc, local, global_
 
-    @property
-    def nranks(self):
-        px, py, pz = parse_dims(self.proc_dims)
-        return px * py * pz
-
     def meta(self):
         proc, local, global_ = self.resolve_dims()
         model = None
@@ -152,7 +147,6 @@ _KEY_SETTERS = {
     "global_dims": ("global_dims", parse_dims),
     "m": ("m", int),
     "strategy": ("strategy", str),
-    "halo.strategy": ("strategy", str),
     "iterations": ("iterations", int),
     "repetitions": ("repetitions", int),
     "tau": ("tau", float),

@@ -16,14 +16,18 @@ Both strategies move exactly the same bytes per exchange and leave
 bit-identical halo shells.  All m components of every boundary site are
 exchanged, corners included, regardless of the velocity model.
 
+Each strategy is a (start, end) pair in ``STRATEGIES``: blocking's start
+is the whole staged exchange and its end has nothing left to do, the way
+MPI treats a blocking call as a request that is already complete.
+``exchange`` runs the start and then the end; ``overlap.step_with_overlap``
+and the benchmark step put their work between the two.
+
 HaloBuffers fixes every message of both strategies once per rank: peer,
 message ids, send and halo slices, and a send buffer with the byte view
 that is posted.  A message is packed into its send buffer, posted without
 a copy, copied once by the fabric on delivery and unpacked from the
 received bytes straight into the halo slice; a send buffer is not
-rewritten before its send has completed.  ``pack_group``, ``recv_full``
-and ``unpack_halo_buffers`` keep the same pack and unpack geometry as a
-standalone API over all 26 buffers.
+rewritten before its send has completed.
 
 Pack order is canonical: ascending (x, y, z) site order, ascending
 component within a site.  Buffers are C-ordered (x, y, z, component)
@@ -42,8 +46,7 @@ exchange with the same (source, tag) has matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,19 +59,12 @@ from .topology import (
     HaloNeighbour,
     NO_NEIGHBOUR,
     OPPOSITE_DISPLACEMENT,
-    build_neighbour_table,
 )
 
-GROUP_PLANES = tuple(
-    i for i, d in enumerate(DISPLACEMENTS) if sum(abs(c) for c in d) == 1
+# displacement indices of the 6 planes, 12 edges and 8 corners
+GROUP_PLANES, GROUP_EDGES, GROUP_CORNERS = (
+    tuple(i for i, d in enumerate(DISPLACEMENTS) if sum(map(abs, d)) == n) for n in (1, 2, 3)
 )
-GROUP_EDGES = tuple(
-    i for i, d in enumerate(DISPLACEMENTS) if sum(abs(c) for c in d) == 2
-)
-GROUP_CORNERS = tuple(
-    i for i, d in enumerate(DISPLACEMENTS) if sum(abs(c) for c in d) == 3
-)
-GROUPS = {"planes": GROUP_PLANES, "edges": GROUP_EDGES, "corners": GROUP_CORNERS}
 
 _STAGE_NAMES = ("X", "Y", "Z")
 
@@ -83,20 +79,14 @@ class ExchangeCounters:
     """Instrumentation for the bench harness: message, byte and wait counts."""
 
     sends: int = 0
-    recvs: int = 0
     bytes_sent: int = 0
-    bytes_received: int = 0
     waits: int = 0
 
     def reset(self):
-        self.sends = self.recvs = 0
-        self.bytes_sent = self.bytes_received = 0
-        self.waits = 0
+        self.sends = self.bytes_sent = self.waits = 0
 
     def snapshot(self):
-        return ExchangeCounters(
-            self.sends, self.recvs, self.bytes_sent, self.bytes_received, self.waits
-        )
+        return ExchangeCounters(self.sends, self.bytes_sent, self.waits)
 
 
 def _extents(local_dims, d):
@@ -200,11 +190,11 @@ def _message(peer, send_id, recv_id, send_slices, halo_slices, buffer):
 class HaloBuffers:
     """Persistent staging arrays and message plans for one rank's exchanges.
 
-    ``slices`` holds the (send, halo) slices of all 26 displacements,
-    ``direct`` the active messages of the 26-message exchange in post order
-    (planes, edges, corners) and ``stages`` the active messages of each
-    blocking stage; peers past an open edge are left out.  Also holds
-    the instrumentation counters.
+    ``direct`` holds the active messages of the 26-message exchange in post
+    order (planes, edges, corners) and ``stages`` the active messages of
+    each blocking stage; peers past an open edge are left out.  Each
+    message has its own send buffer.  Also holds the instrumentation
+    counters.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):
@@ -214,22 +204,21 @@ class HaloBuffers:
         if min(self.local_dims) < 1:
             raise ConfigurationError("local dimensions must be at least 1")
         self.endpoint = endpoint
-        self.neighbours = build_neighbour_table(topo, rank)
-        self.send_full = [np.zeros(_extents(dims, d) + (self.m,)) for d in DISPLACEMENTS]
-        self.slices = _direct_slices(dims)
+        full = topo.full_neighbours(rank)
+        orthogonal = topo.orthogonal_neighbours(rank)
+        slices = _direct_slices(dims)
         self.direct = [
-            _message(self.neighbours.full[idx], idx, OPPOSITE_DISPLACEMENT[idx],
-                     *self.slices[idx], self.send_full[idx])
-            for group in GROUPS.values()
-            for idx in group
-            if self.neighbours.full[idx] != NO_NEIGHBOUR
+            _message(full[idx], idx, OPPOSITE_DISPLACEMENT[idx], *slices[idx],
+                     np.zeros(_extents(dims, DISPLACEMENTS[idx]) + (self.m,)))
+            for idx in GROUP_PLANES + GROUP_EDGES + GROUP_CORNERS
+            if full[idx] != NO_NEIGHBOUR
         ]
         self.stages = []
         for dim in range(3):
             shape = _stage_shape(dims, dim, self.m)
             stage = []
             for direction in (BACKWARD, FORWARD):
-                peer = self.neighbours.orthogonal[direction][dim]
+                peer = orthogonal[direction][dim]
                 if peer == NO_NEIGHBOUR:
                     continue
                 # the halo on this side carries the neighbour's opposite-travel send
@@ -241,12 +230,6 @@ class HaloBuffers:
             self.stages.append(stage)
         self.counters = ExchangeCounters()
 
-    @cached_property
-    def recv_full(self):
-        """Receive buffers of the standalone pack/unpack API, one per
-        displacement; the exchanges unpack from the received bytes instead."""
-        return [np.zeros(buf.shape) for buf in self.send_full]
-
     def check_field(self, field):
         if field.local_dims != self.local_dims or field.m != self.m:
             raise ConfigurationError(
@@ -257,31 +240,12 @@ class HaloBuffers:
 
 @dataclass
 class ExchangeToken:
-    """In-flight non-blocking exchange: its receive and send requests."""
+    """In-flight non-blocking exchange: its receive and send handles, both
+    in ``buffers.direct`` order."""
 
-    recv_entries: list = dc_field(default_factory=list)  # (displacement idx, handle)
-    send_handles: list = dc_field(default_factory=list)
+    recvs: list
+    sends: list
     finished: bool = False
-
-
-def pack_group(field, group, buffers):
-    """Copy the boundary sites for one message group into the send buffers."""
-    buffers.check_field(field)
-    try:
-        indices = GROUPS[group]
-    except KeyError:
-        raise ValueError(f"unknown group {group!r}; expected planes|edges|corners") from None
-    for idx in indices:
-        buffers.send_full[idx][...] = field.data[buffers.slices[idx][0]]
-
-
-def unpack_halo_buffers(buffers, field):
-    """Write every received direct-message buffer into the halo shell."""
-    buffers.check_field(field)
-    for idx, (_, halo) in enumerate(buffers.slices):
-        if buffers.neighbours.full[idx] == NO_NEIGHBOUR:
-            continue
-        field.data[halo] = buffers.recv_full[idx]
 
 
 def _post_receives(ep, messages):
@@ -294,7 +258,6 @@ def _pack_and_send(ep, data, messages, counters):
         msg.buffer[...] = data[msg.send_slices]
         handles.append(ep.post_send(msg.peer, msg.send_id, msg.view))
         counters.bytes_sent += len(msg.view)
-    counters.recvs += len(messages)
     counters.sends += len(messages)
     return handles
 
@@ -311,13 +274,9 @@ def exchange_nonblocking_start(field, topo, buffers):
     corners.  Returns the token for exchange_nonblocking_end.
     """
     buffers.check_field(field)
-    token = ExchangeToken()
     ep = buffers.endpoint
-    messages = buffers.direct
-    recvs = _post_receives(ep, messages)
-    token.recv_entries = [(msg.send_id, h) for msg, h in zip(messages, recvs)]
-    token.send_handles = _pack_and_send(ep, field.data, messages, buffers.counters)
-    return token
+    recvs = _post_receives(ep, buffers.direct)
+    return ExchangeToken(recvs, _pack_and_send(ep, field.data, buffers.direct, buffers.counters))
 
 
 def exchange_nonblocking_end(token, field, buffers):
@@ -333,36 +292,27 @@ def exchange_nonblocking_end(token, field, buffers):
         raise UsageError("exchange token already completed")
     ep = buffers.endpoint
     data = field.data
-    counters = buffers.counters
-    recvs = [h for _, h in token.recv_entries]
+    recvs = list(token.recvs)
     messages = list(buffers.direct)
     try:
         while recvs:
             i = ep.wait_any(recvs)
-            payload = recvs.pop(i).payload
-            _unpack(data, messages.pop(i), payload)
-            counters.bytes_received += len(payload)
+            _unpack(data, messages.pop(i), recvs.pop(i).payload)
     except TransportDeadlock as exc:
         outstanding = sorted(
-            HaloNeighbour(idx).name
-            for idx, h in token.recv_entries
+            HaloNeighbour(msg.send_id).name
+            for msg, h in zip(buffers.direct, token.recvs)
             if not h._consumed
         )
         raise TransportDeadlock(
             f"non-blocking end stalled; outstanding receives: {outstanding}",
             pending=exc.pending,
         ) from exc
-    sends = list(token.send_handles)
+    sends = list(token.sends)
     while sends:
         sends.pop(ep.wait_any(sends))
-    counters.waits += 1  # one logical completion barrier
+    buffers.counters.waits += 1  # one logical completion barrier
     token.finished = True
-
-
-def exchange_nonblocking(field, topo, buffers):
-    """Start immediately followed by end; no overlapped work."""
-    token = exchange_nonblocking_start(field, topo, buffers)
-    exchange_nonblocking_end(token, field, buffers)
 
 
 def exchange_blocking(field, topo, buffers):
@@ -387,17 +337,27 @@ def exchange_blocking(field, topo, buffers):
         counters.waits += 1
         for msg, h in zip(messages, recvs):
             _unpack(data, msg, h.payload)
-            counters.bytes_received += len(h.payload)
+
+
+def _nothing_to_end(token, field, buffers):
+    """Blocking's end: its start has already completed the exchange."""
+
+
+# strategy name -> (start, end); ``end(start(field, topo, buffers), field, buffers)``
+# is one full exchange, and work put between the two overlaps it
+STRATEGIES = {
+    "blocking": (exchange_blocking, _nothing_to_end),
+    "nonblocking": (exchange_nonblocking_start, exchange_nonblocking_end),
+}
 
 
 def exchange(field, topo, buffers, strategy):
-    """Dispatch one full halo exchange by strategy name."""
-    if strategy == "blocking":
-        exchange_blocking(field, topo, buffers)
-    elif strategy == "nonblocking":
-        exchange_nonblocking(field, topo, buffers)
-    else:
-        raise ConfigurationError(f"unknown halo strategy {strategy!r}")
+    """One full halo exchange: the strategy's start, then its end."""
+    try:
+        start, end = STRATEGIES[strategy]
+    except KeyError:
+        raise ConfigurationError(f"unknown halo strategy {strategy!r}") from None
+    end(start(field, topo, buffers), field, buffers)
 
 
 def halo_shell(field):

@@ -147,11 +147,6 @@ class DistributionField:
         return self.store[:, 1:-1, 1:-1, 1:-1]
 
     @property
-    def interior_sites(self):
-        lx, ly, lz = self.local_dims
-        return lx * ly * lz
-
-    @property
     def halo_site_count(self):
         lx, ly, lz = self.local_dims
         return (lx + 2) * (ly + 2) * (lz + 2) - lx * ly * lz

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .halo import exchange_nonblocking_end, exchange_nonblocking_start, halo_shell
+from .halo import STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -19,7 +18,6 @@ class OverlapWorkload:
     """
 
     intensity: int
-    kind: str = "synthetic-compute"
 
     def __post_init__(self):
         if self.intensity < 0:
@@ -59,18 +57,14 @@ def synthetic_workload(field, intensity):
     return float(acc.sum())
 
 
-def step_with_overlap(field, topo, buffers, workload, guard_halo=False):
-    """start -> workload -> end; returns the workload checksum.
+def step_with_overlap(field, topo, buffers, workload):
+    """Non-blocking start -> workload -> end; returns the workload checksum.
 
     The halo state afterwards is identical to running start -> end and the
-    workload afterwards.  With ``guard_halo`` the halo shell is snapshotted
-    around the workload and any write to it raises (debug aid; it cannot
-    catch reads).
+    workload afterwards.
     """
-    token = exchange_nonblocking_start(field, topo, buffers)
-    before = halo_shell(field) if guard_halo else None
+    start, end = STRATEGIES["nonblocking"]
+    token = start(field, topo, buffers)
     checksum = synthetic_workload(field, workload.intensity)
-    if guard_halo and not np.array_equal(halo_shell(field), before):
-        raise UsageError("overlap workload wrote to halo sites")
-    exchange_nonblocking_end(token, field, buffers)
+    end(token, field, buffers)
     return checksum

@@ -146,13 +146,13 @@ def emit_summary(rows, outdir, mode="subdomain", meta=None):
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    summary = summarize(rows)
     paths = {
         "raw": write_csv(rows, outdir / "raw.csv", RAW_COLUMNS),
-        "summary": write_csv(summarize(rows), outdir / "summary.csv", SUMMARY_COLUMNS),
+        "summary": write_csv(summary, outdir / "summary.csv", SUMMARY_COLUMNS),
     }
     if meta is not None:
         paths["meta"] = write_meta(meta, outdir / "meta.json")
-    summary = summarize(rows)
     strategies = sorted({s["strategy"] for s in summary})
     if mode == "subdomain":
         for strategy in strategies:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import lattice
 from .errors import TransportAborted, TransportDeadlock
-from .halo import ExchangeCounters, HaloBuffers, exchange
+from .halo import STRATEGIES, ExchangeCounters, HaloBuffers, exchange
 from .metrics import BenchRecord
-from .overlap import OverlapWorkload, step_with_overlap, synthetic_workload
+from .overlap import synthetic_workload
 from .topology import CartesianTopology
 from .transport import Fabric, TransportModel
 
@@ -144,13 +144,13 @@ def _lb_step(field, spare, halo, vs, tau):
 
 def _bench_body(cfg, topo, vs, fields):
     """The rank body of one repetition; rank r takes over ``fields[r]``."""
+    start, end = STRATEGIES[cfg.strategy]
     # any nonzero intensity attaches halo-independent work to every step;
     # overlap_enabled decides whether it runs inside the start/end window
     # or serially after the exchange
-    if cfg.overlap_enabled or cfg.overlap_intensity > 0:
-        workload = OverlapWorkload(cfg.overlap_intensity)
-    else:
-        workload = None
+    intensity = cfg.overlap_intensity
+    overlapped = cfg.overlap_enabled
+    serial = intensity > 0 and not overlapped
 
     def body(ctx):
         # the list lets go, so the fields are freed when the rank ends
@@ -161,15 +161,14 @@ def _bench_body(cfg, topo, vs, fields):
 
         def halo(fld):
             nonlocal halo_s
-            if workload is None:
-                h0 = perf_counter()
-                exchange(fld, topo, buffers, cfg.strategy)
-                halo_s += perf_counter() - h0
-            elif cfg.overlap_enabled:
-                step_with_overlap(fld, topo, buffers, workload)
-            else:
-                exchange(fld, topo, buffers, cfg.strategy)
-                synthetic_workload(fld, workload.intensity)
+            h0 = perf_counter()
+            token = start(fld, topo, buffers)
+            if overlapped:
+                synthetic_workload(fld, intensity)
+            end(token, fld, buffers)
+            halo_s += perf_counter() - h0
+            if serial:
+                synthetic_workload(fld, intensity)
 
         for _ in range(cfg.warmup):
             field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
@@ -180,7 +179,7 @@ def _bench_body(cfg, topo, vs, fields):
         for _ in range(cfg.iterations):
             field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
         # whole-step timing when work is attached: it belongs inside the span
-        t_halo = perf_counter() - t0 if workload is not None else halo_s
+        t_halo = perf_counter() - t0 if overlapped or serial else halo_s
         ctx.barrier.wait()
         t_step = perf_counter() - t0
         return _RankTiming(t_halo, t_step, buffers.counters.snapshot())

@@ -33,17 +33,6 @@ _DISPLACEMENT_INDEX = {d: i for i, d in enumerate(DISPLACEMENTS)}
 # index(-d) == 25 - index(d) under the fixed enumeration order
 OPPOSITE_DISPLACEMENT = tuple(25 - i for i in range(26))
 
-# the six orthogonal displacements, keyed (direction, dim)
-ORTHOGONAL_INDEX = {
-    (direction, dim): _DISPLACEMENT_INDEX[
-        tuple(
-            (1 if direction == FORWARD else -1) if a == dim else 0 for a in range(3)
-        )
-    ]
-    for direction in (BACKWARD, FORWARD)
-    for dim in (X, Y, Z)
-}
-
 
 def displacement_index(d):
     """Index of a displacement in the fixed NNN..PPP order."""
@@ -133,21 +122,6 @@ class CartesianTopology:
         """All 26 neighbour ranks in the fixed NNN..PPP displacement order."""
         coords = self.cart_coords(rank)
         return tuple(self._neighbour(coords, d) for d in DISPLACEMENTS)
-
-
-@dataclass(frozen=True)
-class NeighbourTable:
-    """Per-rank neighbour ranks: the 2x3 orthogonal table and the full 26."""
-
-    orthogonal: tuple
-    full: tuple
-
-
-def build_neighbour_table(topo, rank):
-    return NeighbourTable(
-        orthogonal=topo.orthogonal_neighbours(rank),
-        full=topo.full_neighbours(rank),
-    )
 
 
 def decompose(global_dims, proc_dims):

@@ -16,21 +16,14 @@ from halolab.halo import (
     blocking_message_sites,
     exchange,
     exchange_blocking,
-    exchange_nonblocking,
     exchange_nonblocking_end,
     exchange_nonblocking_start,
     halo_shell,
     nonblocking_message_sites,
-    pack_group,
-    unpack_halo_buffers,
 )
 from halolab.metrics import halo_sites
 from halolab.runner import run_ranks
-from halolab.topology import (
-    OPPOSITE_DISPLACEMENT,
-    CartesianTopology,
-    displacement_index,
-)
+from halolab.topology import CartesianTopology
 from halolab.transport import TransportModel
 
 
@@ -51,16 +44,7 @@ def single_rank_buffers(dims, m, watchdog=5.0):
 
 def periodic_wrap_shell(field):
     """Independent oracle: halo values implied by single-rank periodicity."""
-    lx, ly, lz = field.local_dims
-    expected = field.data.copy()
-    for x in range(lx + 2):
-        for y in range(ly + 2):
-            for z in range(lz + 2):
-                if 1 <= x <= lx and 1 <= y <= ly and 1 <= z <= lz:
-                    continue
-                expected[x, y, z, :] = field.data[
-                    (x - 1) % lx + 1, (y - 1) % ly + 1, (z - 1) % lz + 1, :
-                ]
+    expected = np.pad(field.interior(), [(1, 1)] * 3 + [(0, 0)], mode="wrap")
     expected[1:-1, 1:-1, 1:-1, :] = 0.0
     return expected
 
@@ -90,73 +74,6 @@ class TestMessageGeometry:
         assert sites[4] == sites[5] == (lx + 2) * (ly + 2)
 
 
-class TestPackOrder:
-    def test_plus_x_plane_buffer(self):
-        dims, m = (2, 3, 4), 2
-        _, buffers = single_rank_buffers(dims, m)
-        f = random_field(dims, m, 10)
-        pack_group(f, "planes", buffers)
-        idx = displacement_index((1, 0, 0))
-        expected = [
-            f.data[dims[0], y, z, i]
-            for y in range(1, dims[1] + 1)
-            for z in range(1, dims[2] + 1)
-            for i in range(m)
-        ]
-        assert np.array_equal(buffers.send_full[idx].ravel(), np.array(expected))
-
-    def test_corner_nnn_buffer(self):
-        dims, m = (3, 3, 3), 19
-        _, buffers = single_rank_buffers(dims, m)
-        f = random_field(dims, m, 11)
-        pack_group(f, "corners", buffers)
-        idx = displacement_index((-1, -1, -1))
-        assert np.array_equal(buffers.send_full[idx].ravel(), f.data[1, 1, 1, :])
-
-    def test_edge_along_z(self):
-        dims, m = (3, 4, 5), 3
-        _, buffers = single_rank_buffers(dims, m)
-        f = random_field(dims, m, 12)
-        pack_group(f, "edges", buffers)
-        idx = displacement_index((-1, -1, 0))
-        expected = np.stack([f.data[1, 1, z, :] for z in range(1, dims[2] + 1)])
-        assert np.array_equal(buffers.send_full[idx].reshape(dims[2], m), expected)
-
-    def test_unknown_group(self):
-        dims, m = (2, 2, 2), 1
-        _, buffers = single_rank_buffers(dims, m)
-        with pytest.raises(ValueError):
-            pack_group(random_field(dims, m, 0), "faces", buffers)
-
-    def test_size_mismatch_is_config_error(self):
-        _, buffers = single_rank_buffers((2, 2, 2), 3)
-        with pytest.raises(ConfigurationError):
-            pack_group(random_field((3, 2, 2), 3, 0), "planes", buffers)
-
-    def test_pack_unpack_roundtrip_is_periodic_fill(self):
-        dims, m = (3, 2, 4), 5
-        _, buffers = single_rank_buffers(dims, m)
-        f = random_field(dims, m, 13)
-        for group in ("planes", "edges", "corners"):
-            pack_group(f, group, buffers)
-        # a self-exchange delivers the buffer sent toward -d into halo slot d
-        for idx in range(26):
-            buffers.recv_full[idx][...] = buffers.send_full[OPPOSITE_DISPLACEMENT[idx]]
-        unpack_halo_buffers(buffers, f)
-        assert np.array_equal(halo_shell(f), periodic_wrap_shell(f))
-
-    def test_total_packed_doubles_per_exchange(self):
-        for L in (1, 2, 4):
-            dims = (L, L, L)
-            m = 19
-            _, buffers = single_rank_buffers(dims, m)
-            f = random_field(dims, m, L)
-            for group in ("planes", "edges", "corners"):
-                pack_group(f, group, buffers)
-            packed = sum(buf.size for buf in buffers.send_full)
-            assert packed == (6 * L * L + 12 * L + 8) * m
-
-
 class TestSingleRankExchange:
     @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
     def test_self_exchange_is_periodic_wrap(self, strategy):
@@ -172,6 +89,16 @@ class TestSingleRankExchange:
         f = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert np.array_equal(halo_shell(f), periodic_wrap_shell(f))
 
+    @pytest.mark.parametrize("strategy, dims", [
+        ("blocking", (3, 2, 2)),
+        ("nonblocking", (3, 2, 2)),
+        ("diagonal", (2, 2, 2)),
+    ], ids=["blocking-mismatched-field", "nonblocking-mismatched-field", "unknown-strategy"])
+    def test_bad_input_is_config_error(self, strategy, dims):
+        topo, buffers = single_rank_buffers((2, 2, 2), 3)
+        with pytest.raises(ConfigurationError):
+            exchange(random_field(dims, 3, 0), topo, buffers, strategy)
+
     def test_message_and_wait_counts(self):
         dims, m = (2, 2, 2), 19
         topo = CartesianTopology((1, 1, 1))
@@ -182,12 +109,12 @@ class TestSingleRankExchange:
             exchange_blocking(f, topo, buffers)
             blocking = buffers.counters.snapshot()
             buffers.counters.reset()
-            exchange_nonblocking(f, topo, buffers)
+            exchange(f, topo, buffers, "nonblocking")
             return blocking, buffers.counters.snapshot()
 
         blocking, nonblocking = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        assert blocking.sends == 6 and blocking.recvs == 6 and blocking.waits == 3
-        assert nonblocking.sends == 26 and nonblocking.recvs == 26
+        assert blocking.sends == 6 and blocking.waits == 3
+        assert nonblocking.sends == 26
         assert nonblocking.waits == 1
         assert blocking.bytes_sent == nonblocking.bytes_sent == halo_sites(dims) * m * 8
 
@@ -199,8 +126,7 @@ class TestSingleRankExchange:
             f = random_field(dims, m, 2)
             buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
             token = exchange_nonblocking_start(f, topo, buffers)
-            posted = (len(token.recv_entries), len(token.send_handles),
-                      buffers.counters.waits)
+            posted = (len(token.recvs), len(token.sends), buffers.counters.waits)
             exchange_nonblocking_end(token, f, buffers)
             return posted
 
@@ -444,7 +370,7 @@ class TestDeadlockAnnotation:
 
 class TestCounters:
     def test_reset_and_snapshot(self):
-        c = ExchangeCounters(sends=2, recvs=2, bytes_sent=10, bytes_received=10, waits=1)
+        c = ExchangeCounters(sends=2, bytes_sent=10, waits=1)
         snap = c.snapshot()
         c.reset()
         assert (c.sends, c.bytes_sent, c.waits) == (0, 0, 0)

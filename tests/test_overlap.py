@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from halolab import lattice
-from halolab.errors import UsageError
-from halolab.halo import (
-    HaloBuffers,
-    exchange_nonblocking,
-    halo_shell,
-)
+from halolab.halo import HaloBuffers, exchange, halo_shell
 from halolab.overlap import (
     OverlapWorkload,
     _aligned_empty,
@@ -79,7 +74,7 @@ class TestStepWithOverlap:
 
         def plain(ctx):
             f, buffers = field_and_buffers(ctx, topo, dims, m, 44)
-            exchange_nonblocking(f, topo, buffers)
+            exchange(f, topo, buffers, "nonblocking")
             return halo_shell(f)
 
         def overlapped(ctx):
@@ -105,34 +100,6 @@ class TestStepWithOverlap:
 
         reference, got = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert got == reference
-
-    def test_guard_halo_passes_for_clean_workload(self):
-        topo = CartesianTopology((1, 1, 1))
-
-        def body(ctx):
-            f, buffers = field_and_buffers(ctx, topo, (3, 3, 3), 3, 46)
-            step_with_overlap(f, topo, buffers, OverlapWorkload(5), guard_halo=True)
-            return True
-
-        assert run_ranks(1, body, watchdog_seconds=5.0)[0]
-
-    def test_guard_halo_catches_halo_writes(self, monkeypatch):
-        # substitute a contract-breaking workload kernel and drive the guard
-        topo = CartesianTopology((1, 1, 1))
-
-        def dirty_workload(field, intensity):
-            field.data[0, 0, 0, 0] += 1.0
-            return 0.0
-
-        monkeypatch.setattr("halolab.overlap.synthetic_workload", dirty_workload)
-
-        def body(ctx):
-            f, buffers = field_and_buffers(ctx, topo, (3, 3, 3), 3, 47)
-            with pytest.raises(UsageError):
-                step_with_overlap(f, topo, buffers, OverlapWorkload(1), guard_halo=True)
-            return True
-
-        assert run_ranks(1, body, watchdog_seconds=5.0)[0]
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (16, 16, 16)])
