@@ -1,4 +1,4 @@
-"""Command-line front end: bench, test-halo, regression, pingpong, model, verify.
+"""Command-line front end: bench, sweep, test-halo, regression, pingpong, model, verify.
 
 Exit codes: 0 pass, 1 test failure, 2 configuration error.
 """
@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import _KEY_SETTERS, build_config
+from .config import _KEY_SETTERS, apply_settings, build_config
 from .errors import ConfigurationError
-from .halo import blocking_message_sites, nonblocking_message_sites
+from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, comm_work_ratio_cubic, total_cost
 from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv
 from .runner import run_benchmark, run_regression, run_test_halo
@@ -50,7 +51,7 @@ def _cmd_bench(args):
     record, meta = run_benchmark(cfg)
     rows = result_rows(record)
     outdir = cfg.output or "bench_out"
-    paths = emit_summary(rows, outdir, mode=args.emit, meta=meta)
+    paths = emit_summary(rows, outdir, meta=meta)
     for row in rows:
         print(
             f"{row['strategy']} P=({row['Px']},{row['Py']},{row['Pz']}) "
@@ -63,9 +64,50 @@ def _cmd_bench(args):
     return 0
 
 
+# swept config key -> (emit_summary mode, or None for overlap.csv; run label -> RunConfig fields)
+_STRATEGY_RUNS = {s: {"strategy": s, "overlap_enabled": False} for s in STRATEGIES}
+_SWEEPS = {
+    "local_dims": ("subdomain", _STRATEGY_RUNS),
+    "proc_dims": ("scaling", _STRATEGY_RUNS),
+    "overlap.intensity": (None, {
+        **_STRATEGY_RUNS, "overlapped": {"strategy": "nonblocking", "overlap_enabled": True}}),
+}
+
+
+def _cmd_sweep(args):
+    base = _config_from_args(args)
+    mode, runs = _SWEEPS[args.key]
+    points = [apply_settings(replace(base), {args.key: value}) for value in args.values]
+    # every run is checked before the first one starts
+    plans = [[(label, replace(point, **fields).validate()) for label, fields in runs.items()]
+             for point in points]
+    rows, metas, overlap_rows = [], [], []
+    for value, plan in zip(args.values, plans):
+        times = {}
+        for label, cfg in plan:
+            record, meta = run_benchmark(cfg)
+            rows.extend(result_rows(record))
+            metas.append(meta)
+            times[f"t_{label}_s"] = min(record.step_times_s) / cfg.iterations
+            print(f"{args.key}={value} {label}: t_halo={min(record.halo_times_s):.6f}s"
+                  + ("  [oversubscribed]" if meta["oversubscribed"] else ""))
+        overlap_rows.append({"intensity": cfg.overlap_intensity, **times})
+    outdir = Path(base.output or "sweep_out")
+    if mode is None:
+        paths = {"overlap": write_csv(overlap_rows, outdir / "overlap.csv", list(overlap_rows[0]))}
+    else:
+        attr = _KEY_SETTERS[args.key][0]
+        meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
+                    sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
+        del meta["strategy"]  # each row names its own
+        paths = emit_summary(rows, outdir, mode=mode, meta=meta)
+    print(f"wrote {', '.join(str(p) for p in paths.values())}")
+    return 0
+
+
 def _cmd_test_halo(args):
     cfg = _config_from_args(args)
-    strategies = ("blocking", "nonblocking") if args.strategies == "both" else (args.strategies,)
+    strategies = tuple(STRATEGIES) if args.strategies == "both" else (args.strategies,)
     report = run_test_halo(cfg, strategies=strategies)
     print(report.describe())
     return 0 if report.passed else 1
@@ -158,14 +200,17 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run the configured benchmark and emit CSV")
     _add_config_arguments(p)
-    p.add_argument("--emit", choices=("subdomain", "scaling", "none"),
-                   default="subdomain", help="which plot-ready files to write")
     p.set_defaults(func=_cmd_bench)
+
+    p = sub.add_parser("sweep", help="run the benchmark over values of one config key")
+    _add_config_arguments(p)
+    p.add_argument("key", choices=tuple(_SWEEPS), help="the swept config key")
+    p.add_argument("values", nargs="+", metavar="VALUE", help="one value per sweep point")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("test-halo", help="boundary-value halo correctness test")
     _add_config_arguments(p)
-    p.add_argument("--strategies", choices=("blocking", "nonblocking", "both"),
-                   default="both")
+    p.add_argument("--strategies", choices=(*STRATEGIES, "both"), default="both")
     p.set_defaults(func=_cmd_test_halo)
 
     p = sub.add_parser("regression", help="full-physics agreement of both strategies")

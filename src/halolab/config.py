@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .halo import STRATEGIES
 from .topology import decompose
 
-STRATEGIES = ("blocking", "nonblocking")
 PHYSICS_MODES = ("none", "full")
 
 
@@ -70,7 +70,7 @@ class RunConfig:
         if not 1 <= int(self.m) <= 27:
             raise ConfigurationError(f"m={self.m} outside the supported 1..27 range")
         if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"strategy must be one of {STRATEGIES}")
+            raise ConfigurationError(f"strategy must be one of {tuple(STRATEGIES)}")
         if self.physics not in PHYSICS_MODES:
             raise ConfigurationError(f"physics must be one of {PHYSICS_MODES}")
         if self.physics == "full" and self.m not in (19, 27):

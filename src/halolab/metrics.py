@@ -166,11 +166,6 @@ class BenchRecord:
     def repetitions(self):
         return len(self.halo_times_s)
 
-    @property
-    def nranks(self):
-        px, py, pz = self.proc_dims
-        return px * py * pz
-
     def exchange_times(self):
         """Per-repetition time of a single exchange call."""
         return [t / self.iterations for t in self.halo_times_s]

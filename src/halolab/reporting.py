@@ -199,7 +199,7 @@ def emit_summary(rows, outdir, mode="subdomain", meta=None):
             paths["runtime_diff"] = _write_xy(
                 outdir / "runtime_diff_vs_p.dat", diff,
                 "tasks  t_nonblocking_minus_blocking_s")
-    elif mode != "none":
+    else:
         raise ValueError(f"unknown emit mode {mode!r}")
     return paths
 

@@ -337,7 +337,7 @@ def verify_halo_pattern(data, topo, rank, local_dims, m, strategy="?"):
     return int(halo.sum()), failures
 
 
-def run_test_halo(cfg, strategies=("blocking", "nonblocking")):
+def run_test_halo(cfg, strategies=tuple(STRATEGIES)):
     """Unit test of the exchange itself: encoded boundary values must land
     on exactly the right halo sites of every neighbour."""
     cfg.validate()

@@ -441,3 +441,49 @@ class TestCli:
         assert code == 0
         rows = read_raw_csv(out / "raw.csv")
         assert rows[0]["iterations"] == 2
+
+    SWEEP_RUN = ["--iterations", "2", "--repetitions", "1", "--warmup", "0"]
+
+    def test_sweep_local_dims(self, tmp_path):
+        out = tmp_path / "sub"
+        code = main(["sweep", "local_dims", "2,2,2", "2,3,4", "--proc-dims", "2,1,1",
+                     *self.SWEEP_RUN, "--output", str(out)])
+        assert code == 0
+        for name in ("raw.csv", "summary.csv", "beff_vs_msgMB_blocking.dat",
+                     "beff_vs_msgMB_nonblocking.dat", "updates_vs_sites_blocking.dat",
+                     "updates_vs_sites_nonblocking.dat"):
+            assert (out / name).exists(), name
+        assert main(["verify", "--input", str(out / "raw.csv")]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["sweep"] == {"key": "local_dims", "values": [[2, 2, 2], [2, 3, 4]]}
+        assert "strategy" not in meta
+        rows = read_raw_csv(out / "raw.csv")
+        assert {(r["strategy"], r["Lz"]) for r in rows} == {
+            (s, lz) for s in ("blocking", "nonblocking") for lz in (2, 4)}
+
+    def test_sweep_proc_dims(self, tmp_path):
+        out = tmp_path / "scal"
+        code = main(["sweep", "proc_dims", "1,1,1", "2,1,1", "--global-dims", "4,4,4",
+                     *self.SWEEP_RUN, "--output", str(out)])
+        assert code == 0
+        diff = (out / "runtime_diff_vs_p.dat").read_text().splitlines()
+        assert [int(line.split()[0]) for line in diff[1:]] == [1, 2]
+
+    def test_sweep_overlap_intensity(self, tmp_path):
+        out = tmp_path / "ovl"
+        code = main(["sweep", "overlap.intensity", "0", "2", "--proc-dims", "1,1,1",
+                     "--local-dims", "4,4,4", "--model-latency-us", "50",
+                     "--model-bandwidth-mbps", "1e6", *self.SWEEP_RUN, "--output", str(out)])
+        assert code == 0
+        lines = (out / "overlap.csv").read_text().splitlines()
+        assert lines[0] == "intensity,t_blocking_s,t_nonblocking_s,t_overlapped_s"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
+
+    def test_sweep_bad_grid_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "proc_dims", "1,1,1", "3,1,1", "--global-dims", "4,4,4",
+                     *self.SWEEP_RUN, "--output", str(tmp_path / "bad")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()  # no point ran
+        with pytest.raises(SystemExit):
+            main(["sweep", "m", "19", "27"])

@@ -246,7 +246,6 @@ class TestBenchRecord:
     def test_basic_properties(self):
         r = self._record()
         assert r.repetitions == 2
-        assert r.nranks == 1
         assert r.exchange_times() == [0.01, 0.02]
 
     def test_rejects_empty_and_mismatched(self):
