@@ -13,10 +13,10 @@ from pathlib import Path
 from .config import _KEY_SETTERS, apply_settings, build_config
 from .errors import ConfigurationError
 from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
-from .metrics import comm_work_ratio, comm_work_ratio_cubic, total_cost
+from .metrics import comm_work_ratio, total_cost
 from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv
-from .runner import run_benchmark, run_regression, run_test_halo
-from .transport import TransportModel, bandwidth_sweep, detect_plateau
+from .runner import bandwidth_sweep, detect_plateau, run_benchmark, run_regression, run_test_halo
+from .transport import TransportModel
 
 # (flag, config key): one flag per config key, spelt from its attribute
 _CONFIG_FLAGS = [("--" + attr.replace("_", "-").lower(), key)
@@ -171,7 +171,7 @@ def _cmd_model(args):
     with open(outdir / "ratio_cubic.dat", "w") as fh:
         fh.write("# L  comm_work_ratio\n")
         for L in range(1, 65):
-            fh.write(f"{L} {comm_work_ratio_cubic(L)!r}\n")
+            fh.write(f"{L} {comm_work_ratio((L, L, L))!r}\n")
     with open(outdir / "ratio_noncubic.dat", "w") as fh:
         fh.write("# x  comm_work_ratio(x, 1.5x, 2x)\n")
         for x in range(2, 58, 2):

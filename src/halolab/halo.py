@@ -12,7 +12,21 @@ Two strategies fill the one-site halo shell of a DistributionField:
   any kind) and an end (drain the receives via wait_any, unpacking each
   one into the halo shell as it arrives, then drain the sends).
 
-Both strategies move exactly the same bytes per exchange and leave
+One rule gives the geometry of all 32 messages.  A message is a
+displacement ``d`` toward its peer plus the number ``whole`` of leading
+axes it sends whole; per axis of interior extent n its (send, halo)
+slices are
+
+* ``0:n+2`` for both, on an axis below ``whole``;
+* ``1:n+1`` for both, where ``d`` is 0;
+* send ``1:2``, fill ``0:1``, where ``d`` is -1;
+* send ``n:n+1``, fill ``n+1:n+2``, where ``d`` is +1.
+
+A direct message has ``whole = 0``; blocking stage ``dim`` sends the two
+face displacements along ``dim`` with ``whole = dim``, so the axes swept
+by earlier stages travel with their halos and edges and corners arrive by
+forwarding.  Each buffer's shape is its slices' lengths, and both
+strategies move exactly the same bytes per exchange and leave
 bit-identical halo shells.  All m components of every boundary site are
 exchanged, corners included, regardless of the velocity model.
 
@@ -35,30 +49,31 @@ arrays filled from and emptied into the field's site-major ``data`` view,
 so the order holds whatever the storage order; with component-major
 storage every pack and unpack is a transposing copy.  A message's tag is
 its message id: 0..25, the non-blocking displacement indices, and 26..31,
-the blocking stage messages, which keeps a rank's own messages
-distinguishable when it exchanges with itself on single-rank-per-dimension
-periodic grids.  The tags are the same in every exchange and carry no
-sequence number: the fabric matches FIFO per (source, tag), MPI's
-non-overtaking rule, and every send is synchronous, so a message of the
-next exchange cannot be posted until the receive of this
-exchange with the same (source, tag) has matched.
+the blocking stage messages (``26 + k`` for the k-th staged send, X-, X+,
+Y-, Y+, Z-, Z+), which keeps a rank's own messages distinguishable when
+it exchanges with itself on single-rank-per-dimension periodic grids.
+The tags are the same in every exchange and carry no sequence number: the
+fabric matches FIFO per (source, tag), MPI's non-overtaking rule, and
+every send is synchronous, so a message of the next exchange cannot be
+posted until the receive of this exchange with the same (source, tag) has
+matched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, TransportDeadlock, UsageError
 from .topology import (
-    BACKWARD,
     DISPLACEMENTS,
-    FORWARD,
     HaloNeighbour,
     NO_NEIGHBOUR,
     OPPOSITE_DISPLACEMENT,
+    displacement_index,
 )
 
 # displacement indices of the 6 planes, 12 edges and 8 corners
@@ -68,10 +83,9 @@ GROUP_PLANES, GROUP_EDGES, GROUP_CORNERS = (
 
 _STAGE_NAMES = ("X", "Y", "Z")
 
-
-def blocking_message_id(dim, direction):
-    """Ids 26..31 for the six staged messages, (dim, travel direction)."""
-    return 26 + 2 * dim + direction
+# the 6 staged displacements in send order: the k-th is stage k // 2 toward
+# -1 (k even) or +1 (k odd), sent with id 26 + k
+_STAGED = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
 
 
 @dataclass
@@ -89,80 +103,36 @@ class ExchangeCounters:
         return ExchangeCounters(self.sends, self.bytes_sent, self.waits)
 
 
-def _extents(local_dims, d):
-    return tuple(1 if d[a] != 0 else local_dims[a] for a in range(3))
+def _plan(local_dims):
+    """(send, halo) slices of the 26 direct messages in displacement order
+    and of the 6 staged messages in send order, by the one rule above."""
+    # per axis: (send, halo) slice pair by d, and the pair of a whole axis
+    sides, wholes = [], []
+    for n in local_dims:
+        sides.append({-1: (slice(1, 2), slice(0, 1)), 0: (slice(1, n + 1),) * 2,
+                      1: (slice(n, n + 1), slice(n + 1, n + 2))})
+        wholes.append((slice(0, n + 2),) * 2)
+
+    def message(d, whole):
+        pairs = [wholes[a] if a < whole else sides[a][d[a]] for a in range(3)]
+        return tuple(zip(*pairs))
+
+    return ([message(d, 0) for d in DISPLACEMENTS],
+            [message(d, k // 2) for k, d in enumerate(_STAGED)])
 
 
-def displacement_sites(local_dims, d):
-    ex, ey, ez = _extents(local_dims, d)
-    return ex * ey * ez
+def _extent(slices):
+    return tuple(s.stop - s.start for s in slices)
 
 
 def nonblocking_message_sites(local_dims):
     """Site count of each of the 26 direct messages, displacement order."""
-    return [displacement_sites(local_dims, d) for d in DISPLACEMENTS]
+    return [prod(_extent(send)) for send, _ in _plan(local_dims)[0]]
 
 
 def blocking_message_sites(local_dims):
     """Site count of each of the 6 staged messages, stage order (X, Y, Z)."""
-    lx, ly, lz = local_dims
-    per_stage = (ly * lz, (lx + 2) * lz, (lx + 2) * (ly + 2))
-    out = []
-    for sites in per_stage:
-        out.extend((sites, sites))
-    return out
-
-
-def _direct_slices(local_dims):
-    """(send, halo) slices of the 26 direct messages, displacement order.
-
-    A message toward d reads the interior layer on the d side (the whole
-    interior along axes where d is 0) and the one from the neighbour at d
-    fills the halo layer beyond that side.
-    """
-    sx, sy, sz = ({-1: slice(1, 2), 0: slice(1, n + 1), 1: slice(n, n + 1)} for n in local_dims)
-    hx, hy, hz = ({-1: slice(0, 1), 0: slice(1, n + 1), 1: slice(n + 1, n + 2)} for n in local_dims)
-    return [((sx[x], sy[y], sz[z]), (hx[x], hy[y], hz[z])) for x, y, z in DISPLACEMENTS]
-
-
-def _stage_send_slices(local_dims, dim, direction):
-    # dims already swept are sent whole (halo included), later dims interior-only
-    out = []
-    for a in range(3):
-        hi = local_dims[a]
-        if a < dim:
-            out.append(slice(0, hi + 2))
-        elif a > dim:
-            out.append(slice(1, hi + 1))
-        elif direction == BACKWARD:
-            out.append(slice(1, 2))
-        else:
-            out.append(slice(hi, hi + 1))
-    return tuple(out)
-
-
-def _stage_halo_slices(local_dims, dim, side):
-    out = []
-    for a in range(3):
-        hi = local_dims[a]
-        if a < dim:
-            out.append(slice(0, hi + 2))
-        elif a > dim:
-            out.append(slice(1, hi + 1))
-        elif side == BACKWARD:
-            out.append(slice(0, 1))
-        else:
-            out.append(slice(hi + 1, hi + 2))
-    return tuple(out)
-
-
-def _stage_shape(local_dims, dim, m):
-    lx, ly, lz = local_dims
-    if dim == 0:
-        return (1, ly, lz, m)
-    if dim == 1:
-        return (lx + 2, 1, lz, m)
-    return (lx + 2, ly + 2, 1, m)
+    return [prod(_extent(send)) for send, _ in _plan(local_dims)[1]]
 
 
 class Message(NamedTuple):
@@ -182,9 +152,10 @@ class Message(NamedTuple):
     view: memoryview
 
 
-def _message(peer, send_id, recv_id, send_slices, halo_slices, buffer):
-    return Message(peer, send_id, recv_id, send_slices, halo_slices, buffer,
-                   memoryview(buffer).cast("B"))
+def _message(peer, send_id, recv_id, slices, m):
+    send, halo = slices
+    buffer = np.zeros(_extent(send) + (m,))
+    return Message(peer, send_id, recv_id, send, halo, buffer, memoryview(buffer).cast("B"))
 
 
 class HaloBuffers:
@@ -205,29 +176,19 @@ class HaloBuffers:
             raise ConfigurationError("local dimensions must be at least 1")
         self.endpoint = endpoint
         full = topo.full_neighbours(rank)
-        orthogonal = topo.orthogonal_neighbours(rank)
-        slices = _direct_slices(dims)
+        direct, staged = _plan(dims)
         self.direct = [
-            _message(full[idx], idx, OPPOSITE_DISPLACEMENT[idx], *slices[idx],
-                     np.zeros(_extents(dims, DISPLACEMENTS[idx]) + (self.m,)))
+            _message(full[idx], idx, OPPOSITE_DISPLACEMENT[idx], direct[idx], self.m)
             for idx in GROUP_PLANES + GROUP_EDGES + GROUP_CORNERS
             if full[idx] != NO_NEIGHBOUR
         ]
-        self.stages = []
-        for dim in range(3):
-            shape = _stage_shape(dims, dim, self.m)
-            stage = []
-            for direction in (BACKWARD, FORWARD):
-                peer = orthogonal[direction][dim]
-                if peer == NO_NEIGHBOUR:
-                    continue
-                # the halo on this side carries the neighbour's opposite-travel send
-                opposite = FORWARD if direction == BACKWARD else BACKWARD
-                stage.append(_message(
-                    peer, blocking_message_id(dim, direction), blocking_message_id(dim, opposite),
-                    _stage_send_slices(dims, dim, direction),
-                    _stage_halo_slices(dims, dim, direction), np.zeros(shape)))
-            self.stages.append(stage)
+        # the halo on each side carries the neighbour's opposite-travel send
+        peers = [full[displacement_index(d)] for d in _STAGED]
+        self.stages = [
+            [_message(peers[k], 26 + k, 26 + (k ^ 1), staged[k], self.m)
+             for k in (2 * dim, 2 * dim + 1) if peers[k] != NO_NEIGHBOUR]
+            for dim in range(3)
+        ]
         self.counters = ExchangeCounters()
 
     def check_field(self, field):
@@ -299,11 +260,8 @@ def exchange_nonblocking_end(token, field, buffers):
             i = ep.wait_any(recvs)
             _unpack(data, messages.pop(i), recvs.pop(i).payload)
     except TransportDeadlock as exc:
-        outstanding = sorted(
-            HaloNeighbour(msg.send_id).name
-            for msg, h in zip(buffers.direct, token.recvs)
-            if not h._consumed
-        )
+        # the drain has popped every consumed receive, so what is left is outstanding
+        outstanding = sorted(HaloNeighbour(msg.send_id).name for msg in messages)
         raise TransportDeadlock(
             f"non-blocking end stalled; outstanding receives: {outstanding}",
             pending=exc.pending,

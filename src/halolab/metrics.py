@@ -37,21 +37,14 @@ def halo_sites(local_dims):
     return (a + 2) * (b + 2) * (c + 2) - a * b * c
 
 
-def comm_work_ratio_cubic(L):
-    """Communication-to-work scaling for a cube: (6L^2 + 12L + 8) / L^3."""
-    L = float(L)
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    return (6.0 * L * L + 12.0 * L + 8.0) / (L * L * L)
-
-
 def comm_work_ratio(local_dims):
     """Analytic communication-to-work scaling for a box (a, b, c).
 
     (2(a^2 + b^2 + c^2) + 4(a + b + c) + 8) / (a*b*c); the plane term uses
     the squared per-axis extents of the scaling model, which coincides
-    with the geometric face count only in the cubic case.  For exact byte
-    accounting use halo_sites instead.
+    with the geometric face count only in the cubic case, where it is
+    (6L^2 + 12L + 8) / L^3.  For exact byte accounting use halo_sites
+    instead.
     """
     a, b, c = (float(v) for v in local_dims)
     if min(a, b, c) < 1:

@@ -1,4 +1,5 @@
-"""Rank orchestration: spawn one thread per subdomain and run the harnesses.
+"""Rank orchestration: spawn one thread per subdomain and run the harnesses
+(benchmark, test-halo, regression, ping-pong).
 
 Ranks are threads on one machine, so configurations beyond the hardware
 parallelism run fine for correctness work but their timings are flagged
@@ -423,3 +424,102 @@ def run_regression(cfg, steps=None):
             x, y, z, i = np.unravel_index(int(delta.argmax()), delta.shape)
             location = (rank, (int(x) + 1, int(y) + 1, int(z) + 1), int(i))
     return RegressionReport(steps=steps, max_delta=max_delta, location=location)
+
+
+# -- ping-pong -------------------------------------------------------------
+
+# each size of a sweep is measured this often and the fastest run kept,
+# which damps scheduler hiccups on a busy host
+_SWEEP_TRIES = 2
+# the plateau starts at the first size reaching this share of its level
+_PLATEAU_FRACTION = 0.7
+
+
+@dataclass(frozen=True)
+class PingPongSample:
+    """One ping-pong measurement; bandwidth counts bytes moved both ways."""
+
+    message_bytes: int
+    round_trips: int
+    elapsed_s: float
+    bandwidth_MBps: float
+
+
+def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):
+    """Time a two-rank back-and-forth exchange of fixed-size payloads.
+
+    bandwidth = 2 * message_bytes * round_trips / elapsed / 1e6 (MBytes/s).
+    """
+    message_bytes = int(message_bytes)
+    round_trips = int(round_trips)
+    if message_bytes < 8:
+        raise ValueError("message size must be at least 8 bytes")
+    if round_trips < 1:
+        raise ValueError("need at least one round trip")
+    payload = b"\xa5" * message_bytes
+
+    # every trip uses tag 0; FIFO matching per (source, tag) keeps the
+    # trips in order.  The first trip is an untimed warm-up so the timed
+    # loop does not absorb thread start-up and first-touch costs
+    def body(ctx):
+        ep = ctx.endpoint
+        if ctx.rank == 1:
+            for _ in range(round_trips + 1):
+                rh = ep.post_recv(0, 0, message_bytes)
+                ep.wait_all((rh,))
+                ep.wait_all((ep.post_send(0, 0, rh.payload),))
+            return None
+        rh = ep.post_recv(1, 0, message_bytes)
+        ep.wait_all((rh, ep.post_send(1, 0, payload)))
+        t0 = perf_counter()
+        for _ in range(round_trips):
+            rh = ep.post_recv(1, 0, message_bytes)
+            ep.wait_all((rh, ep.post_send(1, 0, payload)))
+        return perf_counter() - t0, rh.payload
+
+    (elapsed, echo), _ = run_ranks(2, body, watchdog_seconds=watchdog_seconds)
+    if echo != payload:
+        raise AssertionError("ping-pong echo corrupted the payload")
+    bandwidth = (2.0 * message_bytes * round_trips) / elapsed / 1e6
+    return PingPongSample(message_bytes, round_trips, elapsed, bandwidth)
+
+
+def bandwidth_sweep(sizes=None):
+    """Ping-pong over a size sweep, by default 1 KiB .. 8 MiB doubling;
+    round trips scaled down for big payloads, fastest of the tries kept."""
+    if sizes is None:
+        sizes = [1024 << k for k in range(14)]
+    samples = []
+    for size in sizes:
+        reps = max(8, min(64, (1 << 21) // int(size)))
+        tries = [ping_pong(size, reps) for _ in range(_SWEEP_TRIES)]
+        samples.append(min(tries, key=lambda s: s.elapsed_s))
+    return samples
+
+
+def plateau_level(samples):
+    """Sustained bandwidth level: median over the three largest sizes.
+
+    The sustained tail is the reference rather than the raw peak because on
+    a shared-memory host mid-size messages can ride a cache resonance above
+    the memory-bound plateau.
+    """
+    if not samples:
+        raise ValueError("empty sweep")
+    ordered = sorted(samples, key=lambda s: s.message_bytes)
+    tail = sorted(s.bandwidth_MBps for s in ordered[-3:])
+    return tail[len(tail) // 2]
+
+
+def detect_plateau(samples):
+    """Smallest-message sample whose bandwidth reaches ``_PLATEAU_FRACTION``
+    of the sustained plateau level.
+
+    Self-referential: the level comes from the sweep itself, not from any
+    fixed hardware target.
+    """
+    level = plateau_level(samples)
+    for s in sorted(samples, key=lambda s: s.message_bytes):
+        if s.bandwidth_MBps >= _PLATEAU_FRACTION * level:
+            return s
+    raise AssertionError("unreachable: a tail sample always reaches the level")

@@ -1,4 +1,4 @@
-"""Cartesian rank topology: periodic wrap, 6- and 26-neighbour tables.
+"""Cartesian rank topology: periodic wrap and the 26-neighbour table.
 
 Ranks are laid out row-major (x slowest): rank = (x*Py + y)*Pz + z.  The
 26 off-centre displacements are enumerated x-outer, y-middle, z-inner over
@@ -15,9 +15,6 @@ from itertools import product
 from .errors import BoundaryError, ConfigurationError
 
 NO_NEIGHBOUR = -1
-
-BACKWARD, FORWARD = 0, 1
-X, Y, Z = 0, 1, 2
 
 _LETTER = {-1: "N", 0: "M", 1: "P"}
 
@@ -104,19 +101,6 @@ class CartesianTopology:
             return self.cart_rank(tuple(c + d for c, d in zip(coords, disp)))
         except BoundaryError:
             return NO_NEIGHBOUR
-
-    def orthogonal_neighbours(self, rank):
-        """2x3 table indexed [direction][dim]; NO_NEIGHBOUR past open edges."""
-        coords = self.cart_coords(rank)
-        table = []
-        for direction in (BACKWARD, FORWARD):
-            step = 1 if direction == FORWARD else -1
-            row = []
-            for dim in (X, Y, Z):
-                disp = tuple(step if a == dim else 0 for a in range(3))
-                row.append(self._neighbour(coords, disp))
-            table.append(tuple(row))
-        return tuple(table)
 
     def full_neighbours(self, rank):
         """All 26 neighbour ranks in the fixed NNN..PPP displacement order."""

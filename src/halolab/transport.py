@@ -80,16 +80,6 @@ class TransportModel:
         return self.latency_s + nbytes / (self.bandwidth_MBps * 1e6)
 
 
-@dataclass(frozen=True)
-class PingPongSample:
-    """One ping-pong measurement; bandwidth counts bytes moved both ways."""
-
-    message_bytes: int
-    round_trips: int
-    elapsed_s: float
-    bandwidth_MBps: float
-
-
 def _sleep_until(target):
     # coarse sleep, then yield-spin, then a tight spin for the last stretch;
     # sub-0.1 ms accuracy matters for the latency-difference experiments
@@ -410,111 +400,3 @@ class Endpoint:
         finally:
             if locked:
                 lock.release()
-
-
-def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):
-    """Time a two-rank back-and-forth exchange of fixed-size payloads.
-
-    bandwidth = 2 * message_bytes * round_trips / elapsed / 1e6 (MBytes/s).
-    """
-    message_bytes = int(message_bytes)
-    round_trips = int(round_trips)
-    if message_bytes < 8:
-        raise ValueError("message size must be at least 8 bytes")
-    if round_trips < 1:
-        raise ValueError("need at least one round trip")
-    fabric = Fabric(2, watchdog_seconds=watchdog_seconds)
-    payload = b"\xa5" * message_bytes
-    box = {}
-
-    # every trip uses tag 0; FIFO matching per (source, tag) keeps the
-    # trips in order.  The first trip is an untimed warm-up so the timed
-    # loop does not absorb thread start-up and first-touch costs
-    def pinger():
-        ep = fabric.endpoint(0)
-        rh = ep.post_recv(1, 0, message_bytes)
-        sh = ep.post_send(1, 0, payload)
-        ep.wait_all((rh, sh))
-        t0 = perf_counter()
-        for _ in range(round_trips):
-            rh = ep.post_recv(1, 0, message_bytes)
-            sh = ep.post_send(1, 0, payload)
-            ep.wait_all((rh, sh))
-        box["elapsed"] = perf_counter() - t0
-        box["echo"] = rh.payload
-
-    def ponger():
-        ep = fabric.endpoint(1)
-        for _ in range(round_trips + 1):
-            rh = ep.post_recv(0, 0, message_bytes)
-            ep.wait_all((rh,))
-            sh = ep.post_send(0, 0, rh.payload)
-            ep.wait_all((sh,))
-
-    threads = [
-        threading.Thread(target=pinger, name="pingpong-0", daemon=True),
-        threading.Thread(target=ponger, name="pingpong-1", daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if box.get("echo") != payload:
-        raise AssertionError("ping-pong echo corrupted the payload")
-    fabric.assert_drained()
-    elapsed = box["elapsed"]
-    bandwidth = (2.0 * message_bytes * round_trips) / elapsed / 1e6
-    return PingPongSample(message_bytes, round_trips, elapsed, bandwidth)
-
-
-def default_sweep_sizes():
-    """1 KiB .. 8 MiB doubling, the usual microbenchmark span."""
-    return [1024 << k for k in range(14)]
-
-
-def bandwidth_sweep(sizes=None, watchdog_seconds=30.0, tries=2):
-    """Ping-pong over a size sweep; round trips scaled down for big payloads.
-
-    Each size is measured ``tries`` times and the fastest run kept, which
-    damps scheduler hiccups on a busy host.
-    """
-    if sizes is None:
-        sizes = default_sweep_sizes()
-    samples = []
-    for size in sizes:
-        reps = max(8, min(64, (1 << 21) // int(size)))
-        best = None
-        for _ in range(max(1, tries)):
-            sample = ping_pong(size, reps, watchdog_seconds=watchdog_seconds)
-            if best is None or sample.elapsed_s < best.elapsed_s:
-                best = sample
-        samples.append(best)
-    return samples
-
-
-def plateau_level(samples):
-    """Sustained bandwidth level: median over the three largest sizes.
-
-    The sustained tail is the reference rather than the raw peak because on
-    a shared-memory host mid-size messages can ride a cache resonance above
-    the memory-bound plateau.
-    """
-    if not samples:
-        raise ValueError("empty sweep")
-    ordered = sorted(samples, key=lambda s: s.message_bytes)
-    tail = sorted(s.bandwidth_MBps for s in ordered[-3:])
-    return tail[len(tail) // 2]
-
-
-def detect_plateau(samples, fraction=0.7):
-    """Smallest-message sample whose bandwidth reaches ``fraction`` of the
-    sustained plateau level.
-
-    Self-referential: the level comes from the sweep itself, not from any
-    fixed hardware target.
-    """
-    level = plateau_level(samples)
-    for s in sorted(samples, key=lambda s: s.message_bytes):
-        if s.bandwidth_MBps >= fraction * level:
-            return s
-    raise AssertionError("unreachable: a tail sample always reaches the level")

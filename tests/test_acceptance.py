@@ -19,12 +19,15 @@ from halolab.metrics import (
 )
 from halolab.overlap import OverlapWorkload, step_with_overlap, synthetic_workload
 from halolab.runner import (
+    bandwidth_sweep,
+    detect_plateau,
+    plateau_level,
     run_ranks,
     run_regression,
     run_test_halo,
 )
 from halolab.topology import CartesianTopology
-from halolab.transport import TransportModel, bandwidth_sweep, detect_plateau
+from halolab.transport import TransportModel
 
 
 def _pass(n, message):
@@ -332,8 +335,6 @@ def test_criterion_8_statistics_pipeline():
 
 
 def test_criterion_9_pingpong_plateau_on_host():
-    from halolab.transport import plateau_level
-
     samples = bandwidth_sweep()  # 1 KiB .. 8 MiB
     assert all(np.isfinite(s.bandwidth_MBps) and s.bandwidth_MBps > 0 for s in samples)
     plateau = detect_plateau(samples)

@@ -1,3 +1,4 @@
+import ast
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from halolab.halo import (
 )
 from halolab.metrics import halo_sites
 from halolab.runner import run_ranks
-from halolab.topology import CartesianTopology
+from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
 
 
@@ -72,6 +73,19 @@ class TestMessageGeometry:
         assert sites[0] == sites[1] == ly * lz
         assert sites[2] == sites[3] == (lx + 2) * lz
         assert sites[4] == sites[5] == (lx + 2) * (ly + 2)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (1, 1, 1), (5, 1, 3)])
+    @pytest.mark.parametrize("m", [1, 19])
+    def test_inventory_matches_sent_bytes(self, dims, m):
+        _, buffers = single_rank_buffers(dims, m)
+        direct, staged = nonblocking_message_sites(dims), blocking_message_sites(dims)
+        assert len(buffers.direct) == 26
+        for msg in buffers.direct:
+            assert direct[msg.send_id] * 8 * m == len(msg.view)
+        assert [len(stage) for stage in buffers.stages] == [2, 2, 2]
+        for stage in buffers.stages:
+            for msg in stage:
+                assert staged[msg.send_id - 26] * 8 * m == len(msg.view)
 
 
 class TestSingleRankExchange:
@@ -345,9 +359,14 @@ class TestDeadlockAnnotation:
         with pytest.raises(TransportDeadlock) as err:
             run_ranks(2, body, watchdog_seconds=0.4)
         message = str(err.value)
-        assert "outstanding receives" in message
-        # the un-matching peer sits in +/-X, so those ids must be named
-        assert "PMM" in message or "NMM" in message
+        assert "outstanding receives: " in message
+        # the un-matching peer sits in +/-X: exactly the 18 ids with x != 0
+        named = ast.literal_eval(message.split("outstanding receives: ")[1])
+        assert sorted(named) == named
+        assert set(named) == {
+            HaloNeighbour(i).name for i, d in enumerate(DISPLACEMENTS) if d[0] != 0
+        }
+        assert len(named) == 18
 
 
     @pytest.mark.parametrize("sleep_s", [0.8, 3.0])

@@ -8,7 +8,6 @@ from halolab.errors import ConfigurationError
 from halolab.metrics import (
     BenchRecord,
     comm_work_ratio,
-    comm_work_ratio_cubic,
     effective_bandwidth,
     efficiency,
     halo_sites,
@@ -99,13 +98,11 @@ class TestRatios:
         assert halo_sites((2, 3, 4)) == 4 * 5 * 6 - 24  # 96
 
     def test_cubic_ratio_L2(self):
-        assert comm_work_ratio_cubic(2) == pytest.approx(7.0)
+        assert comm_work_ratio((2, 2, 2)) == pytest.approx(7.0)
 
     def test_general_matches_cubic_on_cubes(self):
         for L in range(1, 65):
-            assert comm_work_ratio((L, L, L)) == pytest.approx(
-                comm_work_ratio_cubic(L), rel=1e-15
-            )
+            assert comm_work_ratio((L, L, L)) == (6 * L * L + 12 * L + 8) / L**3
 
     def test_one_and_a_half_two_family(self):
         for x in range(2, 58, 2):
@@ -114,14 +111,12 @@ class TestRatios:
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_strictly_decreasing_in_L(self):
-        values = [comm_work_ratio_cubic(L) for L in range(1, 129)]
+        values = [comm_work_ratio((L, L, L)) for L in range(1, 129)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             comm_work_ratio((0, 1, 1))
-        with pytest.raises(ValueError):
-            comm_work_ratio_cubic(0)
 
 
 class TestBandwidthAndUpdates:

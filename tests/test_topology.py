@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from halolab.errors import BoundaryError, ConfigurationError
 from halolab.topology import (
-    BACKWARD,
     DISPLACEMENTS,
-    FORWARD,
     HaloNeighbour,
     NO_NEIGHBOUR,
     OPPOSITE_DISPLACEMENT,
@@ -92,21 +90,19 @@ class TestCartRank:
 
 class TestOrthogonalNeighbours:
     def test_rank0_x_neighbours(self):
-        topo = CartesianTopology((3, 3, 3))
-        table = topo.orthogonal_neighbours(0)
-        assert table[BACKWARD][0] == 18  # (2,0,0)
-        assert table[FORWARD][0] == 9    # (1,0,0)
+        full = CartesianTopology((3, 3, 3)).full_neighbours(0)
+        assert full[HaloNeighbour.NMM] == 18  # (2,0,0)
+        assert full[HaloNeighbour.PMM] == 9   # (1,0,0)
 
     def test_self_neighbour_single_rank(self):
-        topo = CartesianTopology((1, 1, 1))
-        table = topo.orthogonal_neighbours(0)
-        assert all(r == 0 for row in table for r in row)
+        full = CartesianTopology((1, 1, 1)).full_neighbours(0)
+        faces = ("NMM", "PMM", "MNM", "MPM", "MMN", "MMP")
+        assert all(full[HaloNeighbour[name]] == 0 for name in faces)
 
     def test_open_boundary_sentinel(self):
-        topo = CartesianTopology((2, 1, 1), periodic=False)
-        table = topo.orthogonal_neighbours(0)
-        assert table[BACKWARD][0] == NO_NEIGHBOUR
-        assert table[FORWARD][0] == 1
+        full = CartesianTopology((2, 1, 1), periodic=False).full_neighbours(0)
+        assert full[HaloNeighbour.NMM] == NO_NEIGHBOUR
+        assert full[HaloNeighbour.PMM] == 1
 
 
 class TestFullNeighbours:
@@ -118,19 +114,6 @@ class TestFullNeighbours:
     def test_single_rank_all_self(self):
         topo = CartesianTopology((1, 1, 1))
         assert topo.full_neighbours(0) == (0,) * 26
-
-    def test_orthogonal_subset_of_full(self):
-        topo = CartesianTopology((4, 3, 2))
-        for rank in range(topo.nranks):
-            orth = topo.orthogonal_neighbours(rank)
-            full = topo.full_neighbours(rank)
-            for dim in range(3):
-                for direction in (BACKWARD, FORWARD):
-                    d = tuple(
-                        (1 if direction == FORWARD else -1) if a == dim else 0
-                        for a in range(3)
-                    )
-                    assert orth[direction][dim] == full[displacement_index(d)]
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (4, 3, 2)])
     def test_displacement_inverse_symmetry(self, dims):

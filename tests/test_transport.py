@@ -21,13 +21,8 @@ from halolab.errors import (
     TransportDeadlock,
     UsageError,
 )
-from halolab.transport import (
-    Fabric,
-    TransportModel,
-    bandwidth_sweep,
-    detect_plateau,
-    ping_pong,
-)
+from halolab.runner import bandwidth_sweep, detect_plateau, ping_pong, plateau_level
+from halolab.transport import Fabric, TransportModel
 
 
 def make_pair(watchdog=5.0, model=None):
@@ -537,6 +532,12 @@ class TestPingPong:
         with pytest.raises(ValueError):
             ping_pong(4, 10)
 
+    def test_rank_deadlock_reaches_the_caller(self):
+        # a watchdog far below one trip stalls a rank; its error, not a
+        # corrupted-echo assertion, must reach the caller
+        with pytest.raises(TransportDeadlock):
+            ping_pong(65536, 200, watchdog_seconds=1e-9)
+
     def test_elapsed_roughly_linear_in_round_trips(self):
         smalls = [ping_pong(65536, 40).elapsed_s for _ in range(3)]
         bigs = [ping_pong(65536, 400).elapsed_s for _ in range(3)]
@@ -548,8 +549,6 @@ class TestPingPong:
         )
 
     def test_sweep_monotone_then_plateau(self):
-        from halolab.transport import plateau_level
-
         samples = bandwidth_sweep(sizes=[1024 << k for k in range(11)])
         assert all(s.bandwidth_MBps > 0 for s in samples)
         plateau = detect_plateau(samples)
