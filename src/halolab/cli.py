@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import _KEY_SETTERS, apply_settings, build_config
 from .errors import ConfigurationError
 from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, total_cost
-from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv
-from .runner import bandwidth_sweep, detect_plateau, run_benchmark, run_regression, run_test_halo
+from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv, write_xy
+from .runner import (PingPongSample, bandwidth_sweep, detect_plateau, run_benchmark,
+                     run_regression, run_test_halo)
 from .transport import TransportModel
 
 # (flag, config key): one flag per config key, spelt from its attribute
@@ -51,7 +52,7 @@ def _cmd_bench(args):
     record, meta = run_benchmark(cfg)
     rows = result_rows(record)
     outdir = cfg.output or "bench_out"
-    paths = emit_summary(rows, outdir, meta=meta)
+    paths = emit_summary(rows, outdir, meta)
     for row in rows:
         print(
             f"{row['strategy']} P=({row['Px']},{row['Py']},{row['Pz']}) "
@@ -100,7 +101,7 @@ def _cmd_sweep(args):
         meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
                     sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
         del meta["strategy"]  # each row names its own
-        paths = emit_summary(rows, outdir, mode=mode, meta=meta)
+        paths = emit_summary(rows, outdir, meta, mode=mode)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
     return 0
 
@@ -127,17 +128,8 @@ def _cmd_pingpong(args):
     else:
         sizes = None
     samples = bandwidth_sweep(sizes)
-    rows = [
-        {
-            "message_bytes": s.message_bytes,
-            "round_trips": s.round_trips,
-            "elapsed_s": s.elapsed_s,
-            "bandwidth_MBps": s.bandwidth_MBps,
-        }
-        for s in samples
-    ]
     out = Path(args.output or "pingpong.csv")
-    write_csv(rows, out, ["message_bytes", "round_trips", "elapsed_s", "bandwidth_MBps"])
+    write_csv([asdict(s) for s in samples], out, [f.name for f in fields(PingPongSample)])
     plateau = detect_plateau(samples)
     peak = max(s.bandwidth_MBps for s in samples)
     for s in samples:
@@ -168,14 +160,11 @@ def _cmd_model(args):
         })
     write_csv(cost_rows, outdir / "cost_vs_L.csv",
               ["L", "halo_bytes", "t_blocking_6msg_s", "t_nonblocking_26msg_s", "latency_gap_s"])
-    with open(outdir / "ratio_cubic.dat", "w") as fh:
-        fh.write("# L  comm_work_ratio\n")
-        for L in range(1, 65):
-            fh.write(f"{L} {comm_work_ratio((L, L, L))!r}\n")
-    with open(outdir / "ratio_noncubic.dat", "w") as fh:
-        fh.write("# x  comm_work_ratio(x, 1.5x, 2x)\n")
-        for x in range(2, 58, 2):
-            fh.write(f"{x} {comm_work_ratio((x, 3 * x // 2, 2 * x))!r}\n")
+    write_xy(outdir / "ratio_cubic.dat",
+             [(L, comm_work_ratio((L, L, L))) for L in range(1, 65)], "L  comm_work_ratio")
+    write_xy(outdir / "ratio_noncubic.dat",
+             [(x, comm_work_ratio((x, 3 * x // 2, 2 * x))) for x in range(2, 58, 2)],
+             "x  comm_work_ratio(x, 1.5x, 2x)")
     print(f"wrote analytic sweeps to {outdir}")
     return 0
 

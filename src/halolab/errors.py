@@ -9,16 +9,8 @@ class ConfigurationError(HaloLabError):
     """Invalid run configuration, decomposition or buffer sizing."""
 
 
-class DomainError(HaloLabError):
-    """Coordinate outside the owned interior lattice region."""
-
-
 class ZeroDensityError(HaloLabError):
-    """Macroscopic velocity requested at a site with zero density."""
-
-
-class BoundaryError(HaloLabError):
-    """Coordinate falls off a non-periodic edge of the rank grid."""
+    """Equilibrium or collision asked of a site whose density is not positive."""
 
 
 class UsageError(HaloLabError):

@@ -316,10 +316,3 @@ def exchange(field, topo, buffers, strategy):
     except KeyError:
         raise ConfigurationError(f"unknown halo strategy {strategy!r}") from None
     end(start(field, topo, buffers), field, buffers)
-
-
-def halo_shell(field):
-    """Copy of the field data with the interior zeroed, for shell comparisons."""
-    out = field.data.copy()
-    out[1:-1, 1:-1, 1:-1, :] = 0.0
-    return out

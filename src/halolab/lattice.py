@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ZeroDensityError
+from .errors import ZeroDensityError
 
 
 class VelocitySet:
@@ -119,24 +119,17 @@ class DistributionField:
 
     __slots__ = ("local_dims", "m", "store", "data")
 
-    def __init__(self, local_dims, m, store=None):
+    def __init__(self, local_dims, m):
         lx, ly, lz = (int(v) for v in local_dims)
         if min(lx, ly, lz) < 1:
             raise ValueError("local dimensions must be at least 1")
         m = int(m)
         if not 1 <= m <= 27:
             raise ValueError(f"m={m}: supported range is 1..27")
-        shape = (m, lx + 2, ly + 2, lz + 2)
-        if store is None:
-            store = np.zeros(shape, dtype=np.float64)
-        else:
-            store = np.ascontiguousarray(store, dtype=np.float64)
-            if store.shape != shape:
-                raise ValueError(f"store shape {store.shape} does not match {shape}")
         self.local_dims = (lx, ly, lz)
         self.m = m
-        self.store = store
-        self.data = store.transpose(1, 2, 3, 0)
+        self.store = np.zeros((m, lx + 2, ly + 2, lz + 2))
+        self.data = self.store.transpose(1, 2, 3, 0)
 
     def interior(self):
         """View of the owned sites, shape (Lx, Ly, Lz, m)."""
@@ -146,44 +139,8 @@ class DistributionField:
         """View of the owned sites by component, shape (m, Lx, Ly, Lz)."""
         return self.store[:, 1:-1, 1:-1, 1:-1]
 
-    @property
-    def halo_site_count(self):
-        lx, ly, lz = self.local_dims
-        return (lx + 2) * (ly + 2) * (lz + 2) - lx * ly * lz
-
-    def copy(self):
-        return DistributionField(self.local_dims, self.m, self.store.copy())
-
-    def check_finite(self):
-        if not np.isfinite(self.store).all():
-            raise FloatingPointError("distribution field contains non-finite values")
-
     def __repr__(self):
         return f"DistributionField(dims={self.local_dims}, m={self.m})"
-
-
-def _check_interior_site(field, site):
-    x, y, z = (int(c) for c in site)
-    for c, hi in zip((x, y, z), field.local_dims):
-        if not 1 <= c <= hi:
-            raise DomainError(f"site {site} outside interior 1..{field.local_dims}")
-    return x, y, z
-
-
-def density(field, site):
-    """Macroscopic density at an interior site: the sum of all components."""
-    x, y, z = _check_interior_site(field, site)
-    return float(field.data[x, y, z, :].sum())
-
-
-def velocity(field, site, vs):
-    """Macroscopic velocity at an interior site, (1/rho) * sum_i f_i e_i."""
-    x, y, z = _check_interior_site(field, site)
-    f = field.data[x, y, z, :]
-    rho = float(f.sum())
-    if rho == 0.0:
-        raise ZeroDensityError(f"zero density at site {site}")
-    return f @ vs.e.astype(np.float64) / rho
 
 
 def _opposite_pairs(vs):
@@ -325,18 +282,6 @@ def stream(field, vs, out=None):
     return out
 
 
-def memory_estimate(global_dims, m):
-    """Bytes for one double-precision distribution array over the global lattice."""
-    X, Y, Z = (int(v) for v in global_dims)
-    m = int(m)
-    if min(X, Y, Z) < 1 or m < 1:
-        raise ValueError("dimensions and m must be positive")
-    total = 8 * m * X * Y * Z
-    if total > 2**63 - 1:
-        raise OverflowError(f"estimate {total} bytes exceeds a 64-bit byte count")
-    return total
-
-
 def total_mass(field):
     """Sum of all interior distribution values."""
     return float(field.interior().sum())
@@ -348,20 +293,22 @@ def total_momentum(field, vs):
     return per_component @ vs.e.astype(np.float64)
 
 
-def random_state(local_dims, vs, rng, rho0=1.0, drho=0.1, du=0.02, noise=0.05):
+def random_state(local_dims, vs, rng, du=0.02):
     """Seeded random field: near-equilibrium with a small kinetic perturbation.
 
-    Values stay strictly positive so collide/velocity are well defined.
+    Density is 1 +- 0.1, velocity components are within +-``du``, and each
+    value is its equilibrium times 1 +- 0.05, so every value stays strictly
+    positive and collide is well defined.
     """
     field = DistributionField(local_dims, vs.m)
     shape = field.local_dims
-    rho = rho0 + drho * rng.uniform(-1.0, 1.0, size=shape)
+    rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=shape)
     u = du * rng.uniform(-1.0, 1.0, size=shape + (3,))
     kick = rng.uniform(-1.0, 1.0, size=shape + (vs.m,))
     fc = field.interior_components()
-    # feq * (1 + noise * kick), component by component into the store
+    # feq * (1 + 0.05 * kick), component by component into the store
     for i, feq in _equilibrium(rho, u.transpose(3, 0, 1, 2), vs):
-        np.multiply(kick[..., i], noise, out=fc[i])
+        np.multiply(kick[..., i], 0.05, out=fc[i])
         fc[i] += 1.0
         fc[i] *= feq
     return field

@@ -75,21 +75,18 @@ def updates_per_core(local_dims, t_exchange):
     return a * b * c / t_exchange
 
 
-def speedup(times_by_p, t_base=None):
-    """S(p) = T_base / T_p over a {task count: runtime} series.
+def speedup(times_by_p, t_base):
+    """S(p) = t_base / T_p over a {task count: runtime} series.
 
-    Default base is the series' own smallest-p runtime (per-version mode);
-    pass ``t_base`` to measure every series against one shared baseline
-    (common-T1 mode), which keeps speedup rankings identical to runtime
-    rankings across code versions.
+    Every series of a comparison is measured against one shared baseline
+    runtime (common-T1 mode), which keeps speedup rankings identical to
+    runtime rankings across code versions.
     """
     if not times_by_p:
         raise ConfigurationError("empty timing series")
     for p, t in times_by_p.items():
         if p < 1 or not t > 0.0:
             raise ConfigurationError(f"bad timing entry p={p}, t={t}")
-    if t_base is None:
-        t_base = times_by_p[min(times_by_p)]
     if not t_base > 0.0:
         raise ConfigurationError("baseline runtime must be positive")
     return {p: t_base / t for p, t in sorted(times_by_p.items())}
@@ -158,7 +155,3 @@ class BenchRecord:
     @property
     def repetitions(self):
         return len(self.halo_times_s)
-
-    def exchange_times(self):
-        """Per-repetition time of a single exchange call."""
-        return [t / self.iterations for t in self.halo_times_s]

@@ -125,7 +125,8 @@ def summarize(rows):
     return out
 
 
-def _write_xy(path, pairs, header):
+def write_xy(path, pairs, header):
+    """Two-column text file: a '# header' line, then one 'x y' line per pair."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -135,8 +136,8 @@ def _write_xy(path, pairs, header):
     return path
 
 
-def emit_summary(rows, outdir, mode="subdomain", meta=None):
-    """Write raw.csv, summary.csv and the plot-ready two-column files.
+def emit_summary(rows, outdir, meta, mode="subdomain"):
+    """Write raw.csv, summary.csv, meta.json and the plot-ready two-column files.
 
     mode 'subdomain': effective bandwidth vs message MBytes and update rate
     vs interior sites, per strategy.  mode 'scaling': runtime, speedup and
@@ -150,9 +151,8 @@ def emit_summary(rows, outdir, mode="subdomain", meta=None):
     paths = {
         "raw": write_csv(rows, outdir / "raw.csv", RAW_COLUMNS),
         "summary": write_csv(summary, outdir / "summary.csv", SUMMARY_COLUMNS),
+        "meta": write_meta(meta, outdir / "meta.json"),
     }
-    if meta is not None:
-        paths["meta"] = write_meta(meta, outdir / "meta.json")
     strategies = sorted({s["strategy"] for s in summary})
     if mode == "subdomain":
         for strategy in strategies:
@@ -165,10 +165,10 @@ def emit_summary(rows, outdir, mode="subdomain", meta=None):
             sites = sorted(
                 (s["Lx"] * s["Ly"] * s["Lz"], s["updates_mean"]) for s in series
             )
-            paths[f"beff_{strategy}"] = _write_xy(
+            paths[f"beff_{strategy}"] = write_xy(
                 outdir / f"beff_vs_msgMB_{strategy}.dat", msg,
                 "message_MBytes  B_eff_MBps")
-            paths[f"updates_{strategy}"] = _write_xy(
+            paths[f"updates_{strategy}"] = write_xy(
                 outdir / f"updates_vs_sites_{strategy}.dat", sites,
                 "interior_sites  updates_per_core")
     elif mode == "scaling":
@@ -182,21 +182,21 @@ def emit_summary(rows, outdir, mode="subdomain", meta=None):
         t_base = base_series[base_p]
         for strategy, series in times.items():
             runtime = sorted(series.items())
-            s_common = speedup(series, t_base=t_base)
+            s_common = speedup(series, t_base)
             e_common = efficiency(s_common, base_p=min(series))
-            paths[f"runtime_{strategy}"] = _write_xy(
+            paths[f"runtime_{strategy}"] = write_xy(
                 outdir / f"runtime_vs_p_{strategy}.dat", runtime,
                 "tasks  t_halo_mean_s")
-            paths[f"speedup_{strategy}"] = _write_xy(
+            paths[f"speedup_{strategy}"] = write_xy(
                 outdir / f"speedup_vs_p_{strategy}.dat", sorted(s_common.items()),
                 "tasks  speedup_common_T1")
-            paths[f"efficiency_{strategy}"] = _write_xy(
+            paths[f"efficiency_{strategy}"] = write_xy(
                 outdir / f"efficiency_vs_p_{strategy}.dat", sorted(e_common.items()),
                 "tasks  efficiency")
         if "blocking" in times and "nonblocking" in times:
             shared = sorted(set(times["blocking"]) & set(times["nonblocking"]))
             diff = [(p, times["nonblocking"][p] - times["blocking"][p]) for p in shared]
-            paths["runtime_diff"] = _write_xy(
+            paths["runtime_diff"] = write_xy(
                 outdir / "runtime_diff_vs_p.dat", diff,
                 "tasks  t_nonblocking_minus_blocking_s")
     else:

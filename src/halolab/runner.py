@@ -300,7 +300,7 @@ class HaloTestReport:
         )
 
 
-def verify_halo_pattern(data, topo, rank, local_dims, m, strategy="?"):
+def verify_halo_pattern(data, topo, rank, local_dims, m, strategy):
     """Check every halo site against the independently computed neighbour value.
 
     Expected values come straight from coordinate arithmetic on the rank
@@ -407,11 +407,9 @@ def run_physics(cfg, strategy, steps):
                      model=_transport_model(cfg))
 
 
-def run_regression(cfg, steps=None):
+def run_regression(cfg, steps):
     """Run both strategies from one seeded state; fields must agree to 1e-12."""
     cfg.validate()
-    if steps is None:
-        steps = cfg.iterations
     blocking = run_physics(cfg, "blocking", steps)
     nonblocking = run_physics(cfg, "nonblocking", steps)
     max_delta = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from itertools import product
 
-from .errors import BoundaryError, ConfigurationError
+from .errors import ConfigurationError
 
 NO_NEIGHBOUR = -1
 
@@ -64,24 +64,6 @@ class CartesianTopology:
         px, py, pz = self.dims
         return px * py * pz
 
-    def wrap(self, coords):
-        """Apply periodic wrap; raise BoundaryError off a non-periodic edge."""
-        out = []
-        for c, n, per in zip(coords, self.dims, self.periodic):
-            c = int(c)
-            if per:
-                c %= n
-            elif not 0 <= c < n:
-                raise BoundaryError(
-                    f"coordinate {tuple(coords)} leaves the non-periodic grid {self.dims}"
-                )
-            out.append(c)
-        return tuple(out)
-
-    def cart_rank(self, coords):
-        """Row-major rank of (possibly out-of-range, periodic) coordinates."""
-        return self.row_major_rank(*self.wrap(coords))
-
     def row_major_rank(self, x, y, z):
         """Rank of in-range coordinates; x, y, z may be broadcasting arrays."""
         _, py, pz = self.dims
@@ -97,10 +79,17 @@ class CartesianTopology:
         return (x, y, z)
 
     def _neighbour(self, coords, disp):
-        try:
-            return self.cart_rank(tuple(c + d for c, d in zip(coords, disp)))
-        except BoundaryError:
-            return NO_NEIGHBOUR
+        """Rank at ``coords + disp``, wrapped on periodic axes;
+        NO_NEIGHBOUR past an open edge."""
+        out = []
+        for c, d, n, per in zip(coords, disp, self.dims, self.periodic):
+            c += d
+            if per:
+                c %= n
+            elif not 0 <= c < n:
+                return NO_NEIGHBOUR
+            out.append(c)
+        return self.row_major_rank(*out)
 
     def full_neighbours(self, rank):
         """All 26 neighbour ranks in the fixed NNN..PPP displacement order."""

@@ -11,7 +11,7 @@ import pytest
 
 from halolab import lattice
 from halolab.config import RunConfig
-from halolab.halo import HaloBuffers, exchange, halo_shell
+from halolab.halo import HaloBuffers, exchange
 from halolab.metrics import (
     comm_work_ratio,
     halo_sites,
@@ -28,6 +28,7 @@ from halolab.runner import (
 )
 from halolab.topology import CartesianTopology
 from halolab.transport import TransportModel
+from helpers import describe_sweep, halo_shell
 
 
 def _pass(n, message):
@@ -339,13 +340,15 @@ def test_criterion_9_pingpong_plateau_on_host():
     assert all(np.isfinite(s.bandwidth_MBps) and s.bandwidth_MBps > 0 for s in samples)
     plateau = detect_plateau(samples)
     level = plateau_level(samples)
+    shown = describe_sweep(samples, level, plateau)
     # monotone rise into the plateau band, then never below half the
     # sustained level (the self-referential saturation point)
     smallest = min(samples, key=lambda s: s.message_bytes)
-    assert smallest.bandwidth_MBps < level
+    assert smallest.bandwidth_MBps < level, f"smallest size reaches the level\n{shown}"
     for s in samples:
         if s.message_bytes >= plateau.message_bytes:
-            assert s.bandwidth_MBps >= 0.5 * level
+            assert s.bandwidth_MBps >= 0.5 * level, (
+                f"{s.message_bytes} B below half the level\n{shown}")
     _pass(9, f"host bandwidth curve is monotone-then-plateau; saturation at "
              f"{plateau.message_bytes} B, sustained level {level:.0f} MB/s "
              f"(self-referential, no fixed hardware target)")

@@ -148,7 +148,7 @@ class TestRunBenchmark:
 
 
 
-def _loop_verify(data, topo, rank, local_dims, m, strategy="?"):
+def _loop_verify(data, topo, rank, local_dims, m, strategy):
     """Site-by-site halo check, the reference for ``verify_halo_pattern``."""
     from halolab.runner import HaloMismatch
 
@@ -176,7 +176,7 @@ def _loop_verify(data, topo, rank, local_dims, m, strategy="?"):
                     expected = np.zeros(m)
                 else:
                     sx, sy, sz = local_site
-                    owner = topo.cart_rank(owner_coords)
+                    owner = topo.row_major_rank(*owner_coords)
                     code = ((owner * (lx + 2) + sx) * (ly + 2) + sy) * (lz + 2) + sz
                     expected = np.array([float(code * 32 + i + 1) for i in range(m)])
                 got = data[x, y, z, :]
@@ -210,10 +210,10 @@ class TestTestHalo:
             return field.data.copy()
 
         data = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        checked, clean = verify_halo_pattern(data, topo, 0, local, m)
+        checked, clean = verify_halo_pattern(data, topo, 0, local, m, "blocking")
         assert not clean
         data[0, 2, 2, 1] += 5.0
-        checked, failures = verify_halo_pattern(data, topo, 0, local, m)
+        checked, failures = verify_halo_pattern(data, topo, 0, local, m, "blocking")
         assert len(failures) == 1
         f = failures[0]
         assert f.site == (0, 2, 2) and f.component == 1
@@ -240,8 +240,8 @@ class TestTestHalo:
         datas = run_ranks(topo.nranks, body, watchdog_seconds=5.0)
         rng = np.random.default_rng(8)
         for rank, data in enumerate(datas):
-            assert verify_halo_pattern(data, topo, rank, local, m) == (
-                _loop_verify(data, topo, rank, local, m))
+            assert verify_halo_pattern(data, topo, rank, local, m, "nonblocking") == (
+                _loop_verify(data, topo, rank, local, m, "nonblocking"))
             for _ in range(6):
                 x, y, z = (int(rng.integers(0, n + 2)) for n in local)
                 data[x, y, z, int(rng.integers(0, m))] = rng.choice([np.nan, -1.0, 0.0])
@@ -334,7 +334,7 @@ class TestReporting:
 
     def test_emit_summary_subdomain(self, tmp_path):
         rows = self._rows()
-        paths = emit_summary(rows, tmp_path / "out", mode="subdomain", meta={"tau": 1.0})
+        paths = emit_summary(rows, tmp_path / "out", {"tau": 1.0}, mode="subdomain")
         assert (tmp_path / "out" / "raw.csv").exists()
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "beff_vs_msgMB_blocking.dat").exists()
@@ -346,7 +346,7 @@ class TestReporting:
             for p, t in zip(((1, 1, 1), (2, 1, 1)), times):
                 cfg_rowset = result_rows_from_fake(strategy, p, t)
                 rows.extend(cfg_rowset)
-        paths = emit_summary(rows, tmp_path / "scal", mode="scaling")
+        paths = emit_summary(rows, tmp_path / "scal", {}, mode="scaling")
         diff = (tmp_path / "scal" / "runtime_diff_vs_p.dat").read_text().splitlines()
         assert diff[0].startswith("#")
         p1, d1 = diff[1].split()

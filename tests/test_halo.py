@@ -19,13 +19,13 @@ from halolab.halo import (
     exchange_blocking,
     exchange_nonblocking_end,
     exchange_nonblocking_start,
-    halo_shell,
     nonblocking_message_sites,
 )
 from halolab.metrics import halo_sites
 from halolab.runner import run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
+from helpers import halo_shell
 
 
 def random_field(dims, m, seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halolab import lattice
-from halolab.halo import HaloBuffers, exchange, halo_shell
+from halolab.halo import HaloBuffers, exchange
 from halolab.overlap import (
     OverlapWorkload,
     _aligned_empty,
@@ -13,6 +13,7 @@ from halolab.overlap import (
 )
 from halolab.runner import run_ranks
 from halolab.topology import CartesianTopology
+from helpers import halo_shell
 
 
 def field_and_buffers(ctx, topo, dims, m, seed):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halolab.errors import BoundaryError, ConfigurationError
+from halolab.errors import ConfigurationError
 from halolab.topology import (
     DISPLACEMENTS,
     HaloNeighbour,
@@ -47,31 +47,43 @@ class TestDisplacements:
 class TestCartRank:
     def test_origin(self):
         topo = CartesianTopology((3, 3, 3))
-        assert topo.cart_rank((0, 0, 0)) == 0
+        assert topo.row_major_rank(0, 0, 0) == 0
+        assert topo.cart_coords(0) == (0, 0, 0)
 
     def test_periodic_wrap(self):
         topo = CartesianTopology((3, 3, 3))
-        assert topo.cart_rank((0, -1, 1)) == 7  # wraps to (0, 2, 1)
+        # (0, 0, 0) + (0, -1, 1) wraps to (0, 2, 1)
+        assert topo.full_neighbours(0)[HaloNeighbour.MNP] == 7
 
     def test_row_major(self):
         topo = CartesianTopology((4, 3, 2))
-        assert topo.cart_rank((3, 2, 1)) == 23  # (3*3+2)*2+1
+        assert topo.row_major_rank(3, 2, 1) == 23  # (3*3+2)*2+1
+        assert topo.cart_coords(23) == (3, 2, 1)
 
     def test_non_periodic_out_of_range(self):
         topo = CartesianTopology((3, 3, 3), periodic=(False, True, True))
-        with pytest.raises(BoundaryError):
-            topo.cart_rank((-1, 0, 0))
-        assert topo.cart_rank((0, -1, 0)) == topo.cart_rank((0, 2, 0))
+        full = topo.full_neighbours(0)
+        assert full[HaloNeighbour.NMM] == NO_NEIGHBOUR
+        assert full[HaloNeighbour.MNM] == topo.row_major_rank(0, 2, 0)
 
     def test_bijectivity_sweep(self):
         topo = CartesianTopology((5, 4, 3))
         for r in range(topo.nranks):
-            assert topo.cart_rank(topo.cart_coords(r)) == r
-        for x in range(-5, 10):
-            for y in range(-4, 8):
-                for z in range(-3, 6):
-                    wrapped = topo.wrap((x, y, z))
-                    assert topo.cart_coords(topo.cart_rank((x, y, z))) == wrapped
+            assert topo.row_major_rank(*topo.cart_coords(r)) == r
+        # each neighbour is the coordinate sum, wrapped on periodic axes and
+        # absent past an open edge
+        for periodic in (True, (False, True, False)):
+            topo = CartesianTopology((5, 4, 3), periodic=periodic)
+            for r in range(topo.nranks):
+                coords = topo.cart_coords(r)
+                for d, n in zip(DISPLACEMENTS, topo.full_neighbours(r)):
+                    target = [c + e for c, e in zip(coords, d)]
+                    if any(not per and not 0 <= t < size
+                           for t, size, per in zip(target, topo.dims, topo.periodic)):
+                        assert n == NO_NEIGHBOUR
+                    else:
+                        assert topo.cart_coords(n) == tuple(
+                            t % size for t, size in zip(target, topo.dims))
 
     def test_row_major_rank_on_arrays(self):
         topo = CartesianTopology((5, 4, 3))

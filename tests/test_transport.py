@@ -23,6 +23,7 @@ from halolab.errors import (
 )
 from halolab.runner import bandwidth_sweep, detect_plateau, ping_pong, plateau_level
 from halolab.transport import Fabric, TransportModel
+from helpers import describe_sweep
 
 
 def make_pair(watchdog=5.0, model=None):
@@ -297,15 +298,29 @@ class TestWakeUps:
         assert notified == [0, 1, 0, 1]
 
 
+class _SleepSignal(threading.Condition):
+    """A rank's fabric condition that signals when a wait sleeps on it."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.sleeping = threading.Event()
+
+    def wait(self, timeout=None):
+        self.sleeping.set()
+        return super().wait(timeout)
+
+
 class FabricMachine(RuleBasedStateMachine):
-    """Random posts and waits on a 2-rank fabric from one thread.
+    """Random posts and waits on a 2-rank fabric.
 
     A model predicts the FIFO pairing of sends and receives per (source,
-    dest, tag).  Waits only ever name matched handles, so nothing blocks;
-    the short watchdog turns a wrongly pending handle into a failure.
-    Every payload starts with a serial number, so a FIFO slip changes the
-    delivered bytes.  Once the fabric is aborted, with complete handles
-    outstanding, every post and wait must raise ``TransportAborted``.
+    dest, tag).  Waits on the machine's thread only ever name matched
+    handles, so they do not block; a wait that blocks runs on a helper
+    thread (``blocked_wait``).  The short watchdog turns a wrongly pending
+    handle into a failure.  Every payload starts with a serial number, so
+    a FIFO slip changes the delivered bytes.  Once the fabric is aborted,
+    with complete handles outstanding, every post and wait must raise
+    ``TransportAborted``.
     """
 
     ranks = st.integers(0, 1)
@@ -314,6 +329,7 @@ class FabricMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.fabric = Fabric(2, watchdog_seconds=0.5)
+        self.fabric._conds = [_SleepSignal(self.fabric._lock) for _ in range(2)]
         self.eps = [self.fabric.endpoint(0), self.fabric.endpoint(1)]
         self.serial = 0
         self.sends = defaultdict(deque)  # key -> unmatched (handle, bytes, array)
@@ -363,6 +379,39 @@ class FabricMachine(RuleBasedStateMachine):
             self._match(self.sends[key].popleft(), (rh, capacity))
         else:
             self.recvs[key].append((rh, capacity))
+
+    # capacity from 44, the serial and the longest body, so nothing truncates
+    @precondition(lambda self: not self.aborted)
+    @rule(src=ranks, tag=tags, body=st.binary(max_size=40), capacity=st.integers(44, 200))
+    def blocked_wait(self, src, tag, body, capacity):
+        # dest waits on a receive with nothing to match it until the send
+        # below is posted, which must wake it well inside the watchdog
+        dest = 1 - src
+        key = (src, dest, tag)
+        if self.sends[key] or self.recvs[key]:
+            return  # the send would not be this receive's match
+        self.serial += 1
+        sent = self.serial.to_bytes(4, "little") + body
+        rh = self.eps[dest].post_recv(src, tag, capacity)
+        box = {}
+
+        def wait():
+            try:
+                self.eps[dest].wait_all([rh])
+                box["payload"] = rh.payload
+            except Exception as exc:  # handed to the machine's thread below
+                box["error"] = exc
+
+        cond = self.fabric._conds[dest]
+        cond.sleeping.clear()
+        helper = threading.Thread(target=wait, daemon=True)
+        helper.start()
+        assert cond.sleeping.wait(timeout=2.0), "the helper never slept in its wait"
+        sh = self.eps[src].post_send(dest, tag, sent)
+        helper.join(timeout=2.0)
+        assert not helper.is_alive()
+        assert box == {"payload": sent}
+        self._match((sh, sent, None), (rh, capacity))
 
     @precondition(lambda self: self.fresh)
     @rule(data=st.data(), rank=ranks)
@@ -553,10 +602,12 @@ class TestPingPong:
         assert all(s.bandwidth_MBps > 0 for s in samples)
         plateau = detect_plateau(samples)
         level = plateau_level(samples)
+        shown = describe_sweep(samples, level, plateau)
         # once saturated, the curve never drops below half the sustained level
         for s in samples:
             if s.message_bytes >= plateau.message_bytes:
-                assert s.bandwidth_MBps >= 0.5 * level
+                assert s.bandwidth_MBps >= 0.5 * level, (
+                    f"{s.message_bytes} B below half the level\n{shown}")
         # and it genuinely rose to get there
         smallest = min(samples, key=lambda s: s.message_bytes)
-        assert smallest.bandwidth_MBps < level
+        assert smallest.bandwidth_MBps < level, f"smallest size reaches the level\n{shown}"
