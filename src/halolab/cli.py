@@ -10,7 +10,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .config import _KEY_SETTERS, apply_settings, build_config
+from .config import SETTINGS, apply_settings, build_config
 from .errors import ConfigurationError
 from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, total_cost
@@ -21,7 +21,7 @@ from .transport import TransportModel
 
 # (flag, config key): one flag per config key, spelt from its attribute
 _CONFIG_FLAGS = [("--" + attr.replace("_", "-").lower(), key)
-                 for key, (attr, _) in _KEY_SETTERS.items()]
+                 for key, (attr, _) in SETTINGS.items()]
 
 
 def _add_config_arguments(parser):
@@ -97,7 +97,7 @@ def _cmd_sweep(args):
     if mode is None:
         paths = {"overlap": write_csv(overlap_rows, outdir / "overlap.csv", list(overlap_rows[0]))}
     else:
-        attr = _KEY_SETTERS[args.key][0]
+        attr = SETTINGS[args.key][0]
         meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
                     sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
         del meta["strategy"]  # each row names its own

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .halo import STRATEGIES
@@ -35,32 +35,38 @@ def parse_bool(text):
     raise ConfigurationError(f"cannot parse boolean from {text!r}")
 
 
+def _setting(parser, default=None, key=None):
+    """A RunConfig field: its default, parser and config key (None: its name)."""
+    return field(default=default, metadata={"parser": parser, "key": key})
+
+
 @dataclass
 class RunConfig:
     """Everything a benchmark, halo test or regression run needs.
 
     Exactly one of global_dims / local_dims must be given together with
-    proc_dims; global dims are decomposed uniformly.
+    proc_dims; global dims are decomposed uniformly.  Each field is one
+    config key; a dotted key nests in ``meta()``.
     """
 
-    proc_dims: tuple = None
-    local_dims: tuple = None
-    global_dims: tuple = None
-    m: int = 19
-    strategy: str = "blocking"
-    iterations: int = 2000
-    repetitions: int = 5
-    tau: float = 1.0
-    seed: int = 12345
-    physics: str = "none"
-    warmup: int = 10
-    periodic: bool = True
-    overlap_enabled: bool = False
-    overlap_intensity: int = 0
-    watchdog_seconds: float = 30.0
-    model_latency_us: float = None
-    model_bandwidth_MBps: float = None
-    output: str = None
+    proc_dims: tuple = _setting(parse_dims)
+    local_dims: tuple = _setting(parse_dims)
+    global_dims: tuple = _setting(parse_dims)
+    m: int = _setting(int, 19)
+    strategy: str = _setting(str, "blocking")
+    iterations: int = _setting(int, 2000)
+    repetitions: int = _setting(int, 5)
+    tau: float = _setting(float, 1.0)
+    seed: int = _setting(int, 12345)
+    physics: str = _setting(str, "none")
+    warmup: int = _setting(int, 10)
+    periodic: bool = _setting(parse_bool, True)
+    overlap_enabled: bool = _setting(parse_bool, False, "overlap.enabled")
+    overlap_intensity: int = _setting(int, 0, "overlap.intensity")
+    watchdog_seconds: float = _setting(float, 30.0, "transport.watchdog_seconds")
+    model_latency_us: float = _setting(float, None, "transport.model.latency_us")
+    model_bandwidth_MBps: float = _setting(float, None, "transport.model.bandwidth_MBps")
+    output: str = _setting(str)
 
     def validate(self):
         if self.proc_dims is None:
@@ -109,58 +115,27 @@ class RunConfig:
         return proc, local, global_
 
     def meta(self):
+        """Every setting but ``output``, nested by the dots of its key, with the
+        resolved dims and ``transport.model`` None when no model is set."""
         proc, local, global_ = self.resolve_dims()
-        model = None
-        if self.model_latency_us is not None:
-            model = {
-                "latency_us": self.model_latency_us,
-                "bandwidth_MBps": self.model_bandwidth_MBps,
-            }
-        return {
-            "proc_dims": list(proc),
-            "local_dims": list(local),
-            "global_dims": list(global_),
-            "m": self.m,
-            "strategy": self.strategy,
-            "iterations": self.iterations,
-            "repetitions": self.repetitions,
-            "tau": self.tau,
-            "seed": self.seed,
-            "physics": self.physics,
-            "warmup": self.warmup,
-            "periodic": self.periodic,
-            "overlap": {
-                "enabled": self.overlap_enabled,
-                "intensity": self.overlap_intensity,
-            },
-            "transport": {
-                "watchdog_seconds": self.watchdog_seconds,
-                "model": model,
-            },
-        }
+        out = {}
+        for name, parents, leaf in _META_PATHS:
+            node = out
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = getattr(self, name)
+        out.update(proc_dims=list(proc), local_dims=list(local), global_dims=list(global_))
+        if self.model_latency_us is None:
+            out["transport"]["model"] = None
+        return out
 
 
 # config-file / --set key -> (attribute, parser)
-_KEY_SETTERS = {
-    "proc_dims": ("proc_dims", parse_dims),
-    "local_dims": ("local_dims", parse_dims),
-    "global_dims": ("global_dims", parse_dims),
-    "m": ("m", int),
-    "strategy": ("strategy", str),
-    "iterations": ("iterations", int),
-    "repetitions": ("repetitions", int),
-    "tau": ("tau", float),
-    "seed": ("seed", int),
-    "physics": ("physics", str),
-    "warmup": ("warmup", int),
-    "periodic": ("periodic", parse_bool),
-    "output": ("output", str),
-    "overlap.enabled": ("overlap_enabled", parse_bool),
-    "overlap.intensity": ("overlap_intensity", int),
-    "transport.watchdog_seconds": ("watchdog_seconds", float),
-    "transport.model.latency_us": ("model_latency_us", float),
-    "transport.model.bandwidth_MBps": ("model_bandwidth_MBps", float),
-}
+SETTINGS = {f.metadata["key"] or f.name: (f.name, f.metadata["parser"])
+            for f in fields(RunConfig)}
+# (attribute, enclosing dict keys, own key) of each setting meta() records
+_META_PATHS = [(name, key.split(".")[:-1], key.split(".")[-1])
+               for key, (name, _) in SETTINGS.items() if key != "output"]
 
 
 def load_config_file(path):
@@ -181,9 +156,9 @@ def load_config_file(path):
 def apply_settings(cfg, entries):
     for key, value in entries.items():
         try:
-            attr, parser = _KEY_SETTERS[key]
+            attr, parser = SETTINGS[key]
         except KeyError:
-            known = ", ".join(sorted(_KEY_SETTERS))
+            known = ", ".join(sorted(SETTINGS))
             raise ConfigurationError(f"unknown config key {key!r} (known: {known})") from None
         try:
             setattr(cfg, attr, parser(value))

@@ -26,44 +26,22 @@ from .errors import ZeroDensityError
 class VelocitySet:
     """A DnQm discrete-velocity stencil: vectors, weights, opposite map.
 
-    Index 0 is always the rest velocity.  The vector set must be closed
-    under negation so the opposite map is an involution.
+    Index 0 is the rest velocity, and the vectors are closed under negation,
+    so the opposite map is an involution.  Only the two module constants
+    below are built; their read-only arrays are shared by every rank.
     """
 
     __slots__ = ("name", "e", "w", "opposite")
 
-    def __init__(self, e, w, name="custom"):
-        e = np.ascontiguousarray(e, dtype=np.int64)
-        w = np.ascontiguousarray(w, dtype=np.float64)
-        if e.ndim != 2 or e.shape[1] != 3:
-            raise ValueError("velocity vectors must form an (m, 3) array")
-        m = e.shape[0]
-        if not 1 <= m <= 27:
-            raise ValueError(f"m={m}: supported models have 1..27 discrete velocities")
-        if w.shape != (m,):
-            raise ValueError("need exactly one weight per velocity")
-        if np.any(np.abs(e) > 1):
-            raise ValueError("velocity components must lie in {-1, 0, +1}")
-        if np.any(e[0] != 0):
-            raise ValueError("index 0 must be the on-site (rest) velocity")
-        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
-        rows = [tuple(v) for v in e.tolist()]
-        if len(set(rows)) != m:
-            raise ValueError("duplicate velocity vectors")
-        lookup = {v: i for i, v in enumerate(rows)}
-        opposite = np.empty(m, dtype=np.int64)
-        for i, (vx, vy, vz) in enumerate(rows):
-            j = lookup.get((-vx, -vy, -vz))
-            if j is None:
-                raise ValueError("velocity set is not closed under negation")
-            opposite[i] = j
-        for arr in (e, w, opposite):
-            arr.setflags(write=False)
+    def __init__(self, e, w, name):
+        rows = [tuple(v) for v in e]
         self.name = name
-        self.e = e
-        self.w = w
-        self.opposite = opposite
+        self.e = np.array(rows, dtype=np.int64)
+        self.w = np.array(w, dtype=np.float64)
+        self.opposite = np.array([rows.index((-x, -y, -z)) for x, y, z in rows],
+                                 dtype=np.int64)
+        for arr in (self.e, self.w, self.opposite):
+            arr.setflags(write=False)
 
     @property
     def m(self):
@@ -81,30 +59,36 @@ _D3Q19_E = (
     (0, 1, 1), (0, -1, -1), (0, 1, -1), (0, -1, 1),
 )
 
-_D3Q27_E = _D3Q19_E + (
-    (1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, -1, 1),
-    (1, -1, 1), (-1, 1, -1), (1, -1, -1), (-1, 1, 1),
+# the 19-velocity cubic model: rest + 6 axis + 12 face-diagonal vectors
+D3Q19 = VelocitySet(
+    _D3Q19_E, (1.0 / 3.0,) + (1.0 / 18.0,) * 6 + (1.0 / 36.0,) * 12, "D3Q19")
+# the full 27-velocity cubic model: D3Q19 plus the 8 corner vectors
+D3Q27 = VelocitySet(
+    _D3Q19_E + (
+        (1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, -1, 1),
+        (1, -1, 1), (-1, 1, -1), (1, -1, -1), (-1, 1, 1),
+    ),
+    (8.0 / 27.0,) + (2.0 / 27.0,) * 6 + (1.0 / 54.0,) * 12 + (1.0 / 216.0,) * 8,
+    "D3Q27",
 )
 
 
 def d3q19():
-    """The 19-velocity cubic model: rest + 6 axis + 12 face-diagonal vectors."""
-    w = (1.0 / 3.0,) + (1.0 / 18.0,) * 6 + (1.0 / 36.0,) * 12
-    return VelocitySet(_D3Q19_E, w, name="D3Q19")
+    """The D3Q19 constant."""
+    return D3Q19
 
 
 def d3q27():
-    """The full 27-velocity cubic model including the 8 corner vectors."""
-    w = (8.0 / 27.0,) + (2.0 / 27.0,) * 6 + (1.0 / 54.0,) * 12 + (1.0 / 216.0,) * 8
-    return VelocitySet(_D3Q27_E, w, name="D3Q27")
+    """The D3Q27 constant."""
+    return D3Q27
 
 
 def velocity_set_for(m):
     """Return the canonical velocity set with m components, if one exists."""
     if m == 19:
-        return d3q19()
+        return D3Q19
     if m == 27:
-        return d3q27()
+        return D3Q27
     raise ValueError(f"no canonical velocity set with m={m} (have 19, 27)")
 
 

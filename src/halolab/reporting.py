@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 from pathlib import Path
+
+import numpy as np
 
 from .metrics import (
     effective_bandwidth,
@@ -22,11 +26,13 @@ from .metrics import (
     updates_per_core,
 )
 
-RAW_COLUMNS = [
-    "strategy", "Px", "Py", "Pz", "Lx", "Ly", "Lz", "m", "rep", "iterations",
-    "t_halo_total_s", "t_step_total_s", "bytes_sent", "messages_sent", "waits",
-    "B_eff_MBps", "updates_per_core",
-]
+# raw.csv's columns, in order, each with the type it reads back as
+RAW_COLUMNS = {
+    "strategy": str, "Px": int, "Py": int, "Pz": int, "Lx": int, "Ly": int, "Lz": int,
+    "m": int, "rep": int, "iterations": int, "t_halo_total_s": float,
+    "t_step_total_s": float, "bytes_sent": int, "messages_sent": int, "waits": int,
+    "B_eff_MBps": float, "updates_per_core": float,
+}
 
 SUMMARY_COLUMNS = [
     "strategy", "Px", "Py", "Pz", "Lx", "Ly", "Lz", "m", "iterations", "repetitions",
@@ -82,17 +88,9 @@ def write_csv(rows, path, columns):
 
 
 def read_raw_csv(path):
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = dict(row)
-            for key in ("Px", "Py", "Pz", "Lx", "Ly", "Lz", "m", "rep", "iterations",
-                        "bytes_sent", "messages_sent", "waits"):
-                parsed[key] = int(row[key])
-            for key in ("t_halo_total_s", "t_step_total_s", "B_eff_MBps", "updates_per_core"):
-                parsed[key] = float(row[key])
-            rows.append(parsed)
-    return rows
+        return [{key: parse(row[key]) for key, parse in RAW_COLUMNS.items()}
+                for row in csv.DictReader(fh)]
 
 
 def _group_key(row):
@@ -205,10 +203,13 @@ def emit_summary(rows, outdir, meta, mode="subdomain"):
 
 
 def write_meta(meta, path):
+    """Write ``meta`` as JSON, with the identity of the host that ran it."""
+    host = {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)), "platform": platform.platform()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(dict(meta, host=host), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

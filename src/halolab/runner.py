@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lattice
 from .errors import TransportAborted, TransportDeadlock
-from .halo import STRATEGIES, ExchangeCounters, HaloBuffers, exchange
+from .halo import STRATEGIES, HaloBuffers, exchange
 from .metrics import BenchRecord
 from .overlap import synthetic_workload
 from .topology import CartesianTopology
@@ -29,7 +29,6 @@ class RankContext:
     """What a rank body gets handed: its endpoint plus a shared barrier."""
 
     rank: int
-    nranks: int
     endpoint: object
     barrier: threading.Barrier
 
@@ -53,7 +52,7 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
     changed = threading.Condition()
 
     def run_one(rank):
-        ctx = RankContext(rank, nranks, fabric.endpoint(rank), barrier)
+        ctx = RankContext(rank, fabric.endpoint(rank), barrier)
         try:
             results[rank] = body(ctx)
         except BaseException as exc:  # noqa: BLE001 - collected and re-raised
@@ -125,26 +124,17 @@ def _rank_fields(cfg, local_dims, rank, vs):
     return field, None
 
 
-@dataclass
-class _RankTiming:
-    t_halo: float
-    t_step: float
-    counters: ExchangeCounters
-
-
-def _lb_step(field, spare, halo, vs, tau):
-    """One step: ``halo(field)``, then, with physics, stream into ``spare``
-    and collide there.  Returns the (field, spare) pair for the next step."""
-    halo(field)
-    if vs is None:
-        return field, spare
+def _lb_step(field, spare, vs, tau):
+    """Stream ``field`` into ``spare`` and collide there.  Returns the
+    (field, spare) pair for the next step."""
     spare = lattice.stream(field, vs, out=spare)
     lattice.collide(spare, tau, vs)
     return spare, field
 
 
 def _bench_body(cfg, topo, vs, fields):
-    """The rank body of one repetition; rank r takes over ``fields[r]``."""
+    """The rank body of one repetition; rank r takes over ``fields[r]`` and
+    returns (halo seconds, step seconds, counters) of its timed steps."""
     start, end = STRATEGIES[cfg.strategy]
     # any nonzero intensity attaches halo-independent work to every step;
     # overlap_enabled decides whether it runs inside the start/end window
@@ -159,31 +149,27 @@ def _bench_body(cfg, topo, vs, fields):
         fields[ctx.rank] = None
         buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ctx.endpoint)
         halo_s = 0.0
-
-        def halo(fld):
-            nonlocal halo_s
+        for i in range(cfg.warmup + cfg.iterations):
+            if i == cfg.warmup:
+                buffers.counters.reset()
+                ctx.barrier.wait()
+                halo_s = 0.0
+                t0 = perf_counter()
             h0 = perf_counter()
-            token = start(fld, topo, buffers)
+            token = start(field, topo, buffers)
             if overlapped:
-                synthetic_workload(fld, intensity)
-            end(token, fld, buffers)
+                synthetic_workload(field, intensity)
+            end(token, field, buffers)
+            del token  # its receive handles hold the payloads; free them before the physics
             halo_s += perf_counter() - h0
             if serial:
-                synthetic_workload(fld, intensity)
-
-        for _ in range(cfg.warmup):
-            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
-        buffers.counters.reset()
-        ctx.barrier.wait()
-        halo_s = 0.0
-        t0 = perf_counter()
-        for _ in range(cfg.iterations):
-            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
+                synthetic_workload(field, intensity)
+            if vs is not None:
+                field, alt = _lb_step(field, alt, vs, cfg.tau)
         # whole-step timing when work is attached: it belongs inside the span
         t_halo = perf_counter() - t0 if overlapped or serial else halo_s
         ctx.barrier.wait()
-        t_step = perf_counter() - t0
-        return _RankTiming(t_halo, t_step, buffers.counters.snapshot())
+        return t_halo, perf_counter() - t0, buffers.counters.snapshot()
 
     return body
 
@@ -210,11 +196,12 @@ def run_benchmark(cfg):
         fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
         body = _bench_body(cfg, topo, vs, fields)
         outs = run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds, model=model)
-        halo_times.append(max(o.t_halo for o in outs))
-        step_times.append(max(o.t_step for o in outs))
-        bytes_sent.append(sum(o.counters.bytes_sent for o in outs))
-        messages.append(sum(o.counters.sends for o in outs))
-        waits.append(sum(o.counters.waits for o in outs))
+        t_halo, t_step, counters = zip(*outs)
+        halo_times.append(max(t_halo))
+        step_times.append(max(t_step))
+        bytes_sent.append(sum(c.bytes_sent for c in counters))
+        messages.append(sum(c.sends for c in counters))
+        waits.append(sum(c.waits for c in counters))
     whole_step = cfg.overlap_enabled or cfg.overlap_intensity > 0
     record = BenchRecord(
         strategy=cfg.strategy,
@@ -395,12 +382,9 @@ def run_physics(cfg, strategy, steps):
         field, alt = fields[ctx.rank]
         fields[ctx.rank] = None
         buffers = HaloBuffers(topo, ctx.rank, local, cfg.m, ctx.endpoint)
-
-        def halo(fld):
-            exchange(fld, topo, buffers, strategy)
-
         for _ in range(steps):
-            field, alt = _lb_step(field, alt, halo, vs, cfg.tau)
+            exchange(field, topo, buffers, strategy)
+            field, alt = _lb_step(field, alt, vs, cfg.tau)
         return field.data.copy()
 
     return run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds,

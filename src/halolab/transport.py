@@ -218,11 +218,7 @@ def _deliver(send_h, recv_h):
     else:
         # the one copy of a message: the sender's buffer into new bytes
         recv_h.payload = bytes(send_h._send_payload)
-    ready = send_h._ready
-    if ready is not None and ready < perf_counter():
-        ready = None
-    send_h._ready = ready
-    recv_h._ready = ready
+    recv_h._ready = send_h._ready
     send_h._send_payload = None
     send_h._matched = True
     recv_h._matched = True

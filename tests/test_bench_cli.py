@@ -1,10 +1,12 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
-from halolab.cli import main
-from halolab.config import RunConfig, build_config, parse_dims
+from halolab.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
+from halolab.config import SETTINGS, RunConfig, build_config, parse_dims
 from halolab.errors import ConfigurationError
 from halolab.metrics import halo_sites
 from halolab.reporting import (
@@ -39,6 +41,17 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+# one value per config key, none of them the key's default
+_SAMPLE_VALUES = {
+    "proc_dims": "2,1,1", "local_dims": "3x3x3", "global_dims": "6,3,3", "m": "27",
+    "strategy": "nonblocking", "iterations": "7", "repetitions": "3", "tau": "0.8",
+    "seed": "99", "physics": "full", "warmup": "2", "periodic": "off",
+    "overlap.enabled": "yes", "overlap.intensity": "4",
+    "transport.watchdog_seconds": "7.5", "transport.model.latency_us": "50",
+    "transport.model.bandwidth_MBps": "1000", "output": "out_dir",
+}
 
 
 class TestConfig:
@@ -110,6 +123,39 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             build_config(path)
 
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_flag_set_and_file_agree(self, key, tmp_path):
+        value = _SAMPLE_VALUES[key]
+        (flag,) = [f for f, k in _CONFIG_FLAGS if k == key]
+        parser = build_parser()
+        by_flag = _config_from_args(parser.parse_args(["bench", flag, value]))
+        by_set = _config_from_args(parser.parse_args(["bench", "--set", f"{key}={value}"]))
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert by_flag == by_set == build_config(path) != RunConfig()
+
+    def test_meta_without_model(self):
+        assert small_cfg().meta() == {
+            "proc_dims": [2, 1, 1], "local_dims": [3, 3, 3], "global_dims": [6, 3, 3],
+            "m": 19, "strategy": "blocking", "iterations": 4, "repetitions": 2,
+            "tau": 1.0, "seed": 12345, "physics": "none", "warmup": 1, "periodic": True,
+            "overlap": {"enabled": False, "intensity": 0},
+            "transport": {"watchdog_seconds": 5.0, "model": None},
+        }
+
+    def test_meta_with_model_and_overlap(self):
+        cfg = small_cfg(local_dims=None, global_dims=(8, 6, 6), strategy="nonblocking",
+                        overlap_enabled=True, overlap_intensity=3, model_latency_us=50.0,
+                        model_bandwidth_MBps=1000.0, periodic=False, output="elsewhere")
+        assert cfg.meta() == {
+            "proc_dims": [2, 1, 1], "local_dims": [4, 6, 6], "global_dims": [8, 6, 6],
+            "m": 19, "strategy": "nonblocking", "iterations": 4, "repetitions": 2,
+            "tau": 1.0, "seed": 12345, "physics": "none", "warmup": 1, "periodic": False,
+            "overlap": {"enabled": True, "intensity": 3},
+            "transport": {"watchdog_seconds": 5.0,
+                          "model": {"latency_us": 50.0, "bandwidth_MBps": 1000.0}},
+        }
+
 
 class TestRunBenchmark:
     def test_message_accounting(self):
@@ -127,12 +173,20 @@ class TestRunBenchmark:
         expected = halo_sites((3, 3, 3)) * 19 * 8 * 2 * 4  # sites*bytes*ranks*iters
         assert record.bytes_sent == [expected, expected]
 
-    def test_meta_records_tau_and_scope(self):
+    def test_meta_records_tau_and_scope(self, tmp_path):
         record, meta = run_benchmark(small_cfg())
         assert meta["tau"] == 1.0
         assert meta["timing_scope"] == "halo_only"
         assert meta["warmup"] == 1
         assert "oversubscribed" in meta
+        emit_summary(result_rows(record), tmp_path, meta)
+        written = json.loads((tmp_path / "meta.json").read_text())
+        assert written["timing_scope"] == "halo_only"
+        host = written["host"]
+        assert host["python"] == platform.python_version()
+        assert host["numpy"] == np.__version__
+        assert host["nproc"] == len(os.sched_getaffinity(0))
+        assert host["platform"] == platform.platform()
 
     def test_overlap_mode_switches_scope(self):
         cfg = small_cfg(strategy="nonblocking", overlap_enabled=True,

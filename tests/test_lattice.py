@@ -9,7 +9,6 @@ from halolab import lattice
 from halolab.errors import ZeroDensityError
 from halolab.lattice import (
     DistributionField,
-    VelocitySet,
     collide,
     d3q19,
     d3q27,
@@ -45,22 +44,26 @@ class TestVelocitySet:
         assert np.all(vs.opposite[vs.opposite] == np.arange(vs.m))
         assert np.all(vs.e[vs.opposite] == -vs.e)
 
-    def test_rejects_open_set(self):
-        # drop one diagonal so negation closure fails
-        e = list(lattice._D3Q19_E[:-1])
-        w = [1.0 / 18.0] * 18
-        with pytest.raises(ValueError):
-            VelocitySet(e, w)
+    @pytest.mark.parametrize("vs_factory, m", [(d3q19, 19), (d3q27, 27)])
+    def test_canonical_set_properties(self, vs_factory, m):
+        vs = vs_factory()
+        assert vs.e.shape == (m, 3) and vs.e.dtype == np.int64
+        assert vs.w.shape == (m,) and vs.w.dtype == np.float64
+        assert set(vs.e.ravel().tolist()) <= {-1, 0, 1}
+        assert np.all(vs.e[0] == 0)  # rest first
+        rows = {tuple(v) for v in vs.e.tolist()}
+        assert len(rows) == m  # unique
+        assert rows == {(-x, -y, -z) for x, y, z in rows}  # closed under negation
+        assert np.all(vs.w > 0.0)
+        assert abs(vs.w.sum() - 1.0) <= 1e-12
 
-    def test_rejects_bad_weights(self):
-        e = ((0, 0, 0), (1, 0, 0), (-1, 0, 0))
-        with pytest.raises(ValueError):
-            VelocitySet(e, (0.5, 0.3, 0.3))
-
-    def test_rejects_too_many(self):
-        e = [(0, 0, 0)] * 28
-        with pytest.raises(ValueError):
-            VelocitySet(e, [1.0 / 28] * 28)
+    @pytest.mark.parametrize("vs_factory, m", [(d3q19, 19), (d3q27, 27)])
+    def test_one_shared_read_only_set(self, vs_factory, m):
+        vs = vs_factory()
+        assert vs is vs_factory() is lattice.velocity_set_for(m)
+        for arr in (vs.e, vs.w, vs.opposite):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestMoments:
