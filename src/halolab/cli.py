@@ -1,6 +1,6 @@
 """Command-line front end: bench, sweep, test-halo, regression, pingpong, model, verify.
 
-Exit codes: 0 pass, 1 test failure, 2 configuration error.
+Exit codes: 0 pass, 1 test failure or a failed run, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import SETTINGS, apply_settings, build_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, HaloLabError
 from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, total_cost
 from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv, write_xy
@@ -235,6 +235,10 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except HaloLabError as exc:
+        # a run that failed (physics, transport, usage): named, not a traceback
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

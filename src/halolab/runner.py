@@ -160,7 +160,6 @@ def _bench_body(cfg, topo, vs, fields):
             if overlapped:
                 synthetic_workload(field, intensity)
             end(token, field, buffers)
-            del token  # its receive handles hold the payloads; free them before the physics
             halo_s += perf_counter() - h0
             if serial:
                 synthetic_workload(field, intensity)
@@ -441,23 +440,28 @@ def ping_pong(message_bytes, round_trips, watchdog_seconds=30.0):
     payload = b"\xa5" * message_bytes
 
     # every trip uses tag 0; FIFO matching per (source, tag) keeps the
-    # trips in order.  The first trip is an untimed warm-up so the timed
-    # loop does not absorb thread start-up and first-touch costs
+    # trips in order.  Each rank receives every trip into its one buffer, so
+    # a delivery allocates nothing; a trip's receive is posted only after
+    # the previous trip's echo has left the buffer.  The first trip is an
+    # untimed warm-up so the timed loop does not absorb thread start-up and
+    # first-touch costs
     def body(ctx):
         ep = ctx.endpoint
+        inbox = memoryview(bytearray(message_bytes))
         if ctx.rank == 1:
             for _ in range(round_trips + 1):
-                rh = ep.post_recv(0, 0, message_bytes)
+                rh = ep.post_recv(0, 0, inbox)
                 ep.wait_all((rh,))
                 ep.wait_all((ep.post_send(0, 0, rh.payload),))
             return None
-        rh = ep.post_recv(1, 0, message_bytes)
+        rh = ep.post_recv(1, 0, inbox)
         ep.wait_all((rh, ep.post_send(1, 0, payload)))
         t0 = perf_counter()
         for _ in range(round_trips):
-            rh = ep.post_recv(1, 0, message_bytes)
+            rh = ep.post_recv(1, 0, inbox)
             ep.wait_all((rh, ep.post_send(1, 0, payload)))
-        return perf_counter() - t0, rh.payload
+        # as bytes: comparing a memoryview goes byte by byte, bytes by memcmp
+        return perf_counter() - t0, bytes(rh.payload)
 
     (elapsed, echo), _ = run_ranks(2, body, watchdog_seconds=watchdog_seconds)
     if echo != payload:

@@ -9,13 +9,21 @@ wildcards.  A destination keeps one queue for every distinct (source, tag)
 it has ever been posted, emptied queues included, so callers should reuse
 a fixed set of tags rather than draw a new tag per message.
 
-A send payload is any object with the buffer protocol (``bytes``,
-``bytearray``, a numpy array, a ``memoryview``).  The fabric keeps a view
-of it, not a copy, so as in MPI the sender must not write the buffer until
-its send handle completes.  Delivery copies the sender's buffer once into
-the receive handle's ``payload``, a ``bytes`` object bit-identical to what
-was sent.  A halo message thus costs pack (field to send buffer), one
-delivery copy and unpack (payload to field).
+A send payload is any C-contiguous object with the buffer protocol
+(``bytes``, ``bytearray``, a numpy array, a ``memoryview``).  The fabric
+keeps a view of it, not a copy, so as in MPI the sender must not write the
+buffer until its send handle completes.  A receive names the buffer it
+lands in, as ``MPI_Irecv`` does: any writable C-contiguous buffer, whose
+byte length is the capacity.  Delivery copies the sender's bytes once into
+that buffer, and the receive handle's ``payload`` is then a ``memoryview``
+of the delivered bytes, the leading part of the buffer; nothing is
+allocated per message.  The receiver must not read the buffer before the
+receive completes, nor reuse it for another receive while this one is in
+flight.  A payload longer than the buffer is not delivered: the buffer is
+left unwritten, ``payload`` stays ``None`` and both handles fail with
+``MessageTruncation``.  A halo message thus costs pack (field to send
+buffer), one delivery copy (send buffer to receive buffer) and unpack
+(receive buffer to field).
 
 All fabric state sits under one lock, shared by one condition per rank.
 Posts take the lock.  A send without a cost model that finds its receive
@@ -30,7 +38,8 @@ after writing its payload, error and completion time, and only the
 waiting rank consumes a handle, so what the scan finds complete stays
 complete.  ``wait_all`` over complete handles, and ``wait_any`` whose
 first live handle (one it has not yet returned) is complete, thus return
-after that one scan.  The abort is still checked first, on every pass: an
+after that one scan; ``wait_any`` checks its first live handle before it
+scans at all.  The abort is still checked first, on every pass: an
 aborted fabric raises ``TransportAborted`` even over complete handles.
 A scan that finds an unmatched handle is repeated under the lock, and
 only then does the rank sleep, woken by the matching post or the abort
@@ -102,22 +111,22 @@ class RequestHandle:
 
     A handle completes exactly once; waiting on a completed handle returns
     immediately.  ``payload`` is readable on a receive handle only after
-    completion.
+    completion: a view of the delivered bytes in the receive buffer.
     """
 
     __slots__ = (
-        "kind", "source", "dest", "tag", "nbytes", "capacity",
-        "payload", "_send_payload", "_matched", "_ready", "_error", "_consumed",
+        "kind", "source", "dest", "tag", "nbytes", "payload",
+        "_buffer", "_send_payload", "_matched", "_ready", "_error", "_consumed",
     )
 
-    def __init__(self, kind, source, dest, tag, nbytes=0, capacity=0):
+    def __init__(self, kind, source, dest, tag, nbytes=0, buffer=None):
         self.kind = kind
         self.source = source
         self.dest = dest
         self.tag = tag
         self.nbytes = nbytes
-        self.capacity = capacity
         self.payload = None
+        self._buffer = buffer
         self._send_payload = None
         self._matched = False
         self._ready = None
@@ -205,19 +214,29 @@ class Fabric:
             )
 
 
-def _deliver(send_h, recv_h):
+def _bytes_view(buffer):
+    """A one-dimensional byte view of a C-contiguous buffer.  A post calls
+    this only for what is not such a view already, and posts one as it is."""
+    view = buffer if type(buffer) is memoryview else memoryview(buffer)
+    return view.cast("B")
+
+
+def _deliver(send_h, payload, recv_h):
     # called under the fabric lock; _matched is written last, so a lock-free
     # reader that sees it set also sees the payload, error and ready time
-    if send_h.nbytes > recv_h.capacity:
+    buffer = recv_h._buffer
+    if send_h.nbytes > len(buffer):
         err = MessageTruncation(
             f"payload of {send_h.nbytes} bytes from rank {send_h.source} "
-            f"(tag {send_h.tag}) exceeds receive capacity {recv_h.capacity}"
+            f"(tag {send_h.tag}) exceeds receive capacity {len(buffer)}"
         )
         send_h._error = err
         recv_h._error = err
     else:
-        # the one copy of a message: the sender's buffer into new bytes
-        recv_h.payload = bytes(send_h._send_payload)
+        delivered = buffer if send_h.nbytes == len(buffer) else buffer[:send_h.nbytes]
+        # the one copy of a message: the sender's buffer into the receiver's
+        delivered[:] = payload
+        recv_h.payload = delivered
     recv_h._ready = send_h._ready
     send_h._send_payload = None
     send_h._matched = True
@@ -243,8 +262,9 @@ class Endpoint:
             raise ValueError(f"invalid destination rank {dest}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
-        payload = memoryview(payload)
-        nbytes = payload.nbytes
+        if type(payload) is not memoryview or payload.format != "B" or payload.ndim != 1:
+            payload = _bytes_view(payload)
+        nbytes = len(payload)
         source = self.rank
         h = RequestHandle("send", source, dest, tag, nbytes)
         key = (source, tag)
@@ -259,14 +279,7 @@ class Endpoint:
                 h._ready = fabric._pipe_free[source] = start + model.delay(nbytes)
             waiting = fabric._recvs[dest].get(key)
             if waiting:
-                recv_h = waiting.popleft()
-                if model is None and nbytes <= recv_h.capacity:
-                    # the common case, delivered here: one copy, no ready time
-                    recv_h.payload = bytes(payload)
-                    h._matched = recv_h._matched = True
-                else:
-                    h._send_payload = payload
-                    _deliver(h, recv_h)
+                _deliver(h, payload, waiting.popleft())
                 if dest != source:  # a rank that posts is not waiting
                     fabric._conds[dest].notify_all()
             else:
@@ -276,17 +289,21 @@ class Endpoint:
             lock.release()
         return h
 
-    def post_recv(self, source, tag, capacity):
-        """Non-blocking receive of up to ``capacity`` bytes from (source, tag)."""
+    def post_recv(self, source, tag, buffer):
+        """Non-blocking receive from (source, tag) into ``buffer``, a writable
+        C-contiguous buffer whose byte length is the capacity.  Leave it
+        unread until the receive completes."""
         fabric = self.fabric
         if not 0 <= source < fabric.nranks:
             raise ValueError(f"invalid source rank {source}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
+        if type(buffer) is not memoryview or buffer.format != "B" or buffer.ndim != 1:
+            buffer = _bytes_view(buffer)
+        if buffer.readonly:
+            raise ValueError("receive buffer must be writable")
         dest = self.rank
-        h = RequestHandle("recv", source, dest, tag, 0, capacity)
+        h = RequestHandle("recv", source, dest, tag, 0, buffer)
         key = (source, tag)
         lock = fabric._lock
         lock.acquire()
@@ -295,7 +312,8 @@ class Endpoint:
                 raise TransportAborted(f"fabric aborted: {fabric._aborted}")
             waiting = fabric._sends[dest].get(key)
             if waiting:
-                _deliver(waiting.popleft(), h)
+                send_h = waiting.popleft()
+                _deliver(send_h, send_h._send_payload, h)
                 if source != dest:
                     fabric._conds[source].notify_all()
             else:
@@ -312,7 +330,20 @@ class Endpoint:
         """Block until one not-yet-returned handle completes; return its index.
 
         Repeated calls over the same list yield each index exactly once.
+        A first live handle that has already completed is returned without
+        a scan of the rest.
         """
+        if self.fabric._aborted is None:
+            for i, h in enumerate(handles):
+                if h._consumed:
+                    continue
+                # _matched before _error, as in _wait
+                if h._matched and h._error is None and (
+                    h._ready is None or h._ready <= perf_counter()
+                ):
+                    h._consumed = True
+                    return i
+                break
         return self._wait(True, handles)
 
     def _wait(self, wait_any, handles):

@@ -478,6 +478,15 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_physics_failure_is_named_with_exit_code_1(self, capsys):
+        # an isolated open rank exchanges nothing, so its empty halo drives
+        # the boundary density to zero within a few steps
+        code = main(["regression", "--proc-dims", "1,1,1", "--local-dims", "4,4,4",
+                     "--periodic", "false", "--steps", "12"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ZeroDensityError: collide needs strictly positive density"]
+
     def test_verify_failure_exit_code(self, tmp_path):
         record, _ = run_benchmark(small_cfg(repetitions=1))
         rows = result_rows(record)

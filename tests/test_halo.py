@@ -103,6 +103,22 @@ class TestSingleRankExchange:
         f = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert np.array_equal(halo_shell(f), periodic_wrap_shell(f))
 
+    @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
+    def test_isolated_open_rank_exchanges_nothing(self, strategy):
+        dims, m = (2, 3, 2), 4
+        topo = CartesianTopology((1, 1, 1), periodic=False)
+
+        def body(ctx):
+            f = random_field(dims, m, 22)
+            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
+            exchange(f, topo, buffers, strategy)
+            return f, buffers
+
+        f, buffers = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        assert buffers.direct == [] and buffers.stages == [[], [], []]
+        assert not halo_shell(f).any()
+        assert (buffers.counters.sends, buffers.counters.bytes_sent) == (0, 0)
+
     @pytest.mark.parametrize("strategy, dims", [
         ("blocking", (3, 2, 2)),
         ("nonblocking", (3, 2, 2)),
@@ -161,6 +177,26 @@ class TestSingleRankExchange:
             return True
 
         assert run_ranks(1, body, watchdog_seconds=5.0)[0]
+
+
+    @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
+    def test_no_second_exchange_while_one_is_in_flight(self, strategy):
+        # both strategies share the buffers' arenas
+        dims, m = (2, 2, 2), 3
+        topo = CartesianTopology((1, 1, 1))
+
+        def body(ctx):
+            f = random_field(dims, m, 4)
+            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
+            token = exchange_nonblocking_start(f, topo, buffers)
+            with pytest.raises(UsageError):
+                exchange(f, topo, buffers, strategy)
+            exchange_nonblocking_end(token, f, buffers)
+            exchange(f, topo, buffers, strategy)
+            return f
+
+        f = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        assert np.array_equal(halo_shell(f), periodic_wrap_shell(f))
 
 
 def equivalence_case(proc_dims, dims, m, seed, periodic=True, watchdog=10.0):
@@ -305,6 +341,57 @@ class TestWireContent:
         assert len(messages) == (6 if strategy == "blocking" else 26)
         for msg in messages:
             assert bytes(msg.view) == np.ascontiguousarray(ref[msg.send_slices]).tobytes()
+
+
+class _Recording:
+    """An endpoint that forwards every call and keeps, by tag, the
+    destination and the bytes of each send when it is posted."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sent = {}
+
+    def post_send(self, dest, tag, payload):
+        self.sent[tag] = (dest, bytes(payload))
+        return self.inner.post_send(dest, tag, payload)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestDirectWireContent:
+    """On grids of distinct peers, each direct message posts its send slice
+    in canonical order and the halo shells equal the blocking ones, so a
+    gather or scatter index out of order shows in the bytes or the shell."""
+
+    CASES = [((3, 3, 3), True), ((3, 2, 1), False)]
+    IDS = ["periodic-3x3x3", "open-3x2x1"]
+
+    @pytest.mark.parametrize("proc_dims, periodic", CASES, ids=IDS)
+    def test_posted_bytes_are_the_send_slices(self, proc_dims, periodic):
+        dims, m = (2, 3, 4), 3
+        topo = CartesianTopology(proc_dims, periodic=periodic)
+
+        def body(ctx):
+            f = random_field(dims, m, (8, ctx.rank))
+            ep = _Recording(ctx.endpoint)
+            buffers = HaloBuffers(topo, ctx.rank, dims, m, ep)
+            exchange(f, topo, buffers, "nonblocking")
+            expected = {msg.send_id: (msg.peer, np.ascontiguousarray(f.data[msg.send_slices]).tobytes())
+                        for msg in buffers.direct}
+            return expected, ep.sent
+
+        for rank, (expected, sent) in enumerate(run_ranks(topo.nranks, body, watchdog_seconds=10.0)):
+            assert sent == expected, f"rank {rank}"
+            if periodic:
+                assert len({peer for peer, _ in sent.values()}) == 26
+
+    @pytest.mark.parametrize("proc_dims, periodic", CASES, ids=IDS)
+    def test_shells_equal_the_blocking_shells(self, proc_dims, periodic):
+        blocking, nonblocking = equivalence_case(proc_dims, (2, 3, 4), 3, seed=13, periodic=periodic)
+        for (shell_b, _), (shell_n, _) in zip(blocking, nonblocking):
+            assert shell_b.any()
+            assert np.array_equal(shell_b, shell_n)
 
 
 class TestMultiRankConservation:

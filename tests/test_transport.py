@@ -26,6 +26,9 @@ from halolab.transport import Fabric, TransportModel
 from helpers import describe_sweep
 
 
+_FILL = b"\xee"  # what a receive buffer holds before its delivery
+
+
 def make_pair(watchdog=5.0, model=None):
     fabric = Fabric(2, watchdog_seconds=watchdog, model=model)
     return fabric, fabric.endpoint(0), fabric.endpoint(1)
@@ -35,7 +38,7 @@ class TestMatching:
     def test_send_to_self(self):
         fabric = Fabric(1, watchdog_seconds=2.0)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 7, 16)
+        rh = ep.post_recv(0, 7, bytearray(16))
         sh = ep.post_send(0, 7, b"12345678")
         ep.wait_all((rh, sh))
         assert rh.payload == b"12345678"
@@ -47,7 +50,7 @@ class TestMatching:
         sh = ep0.post_send(1, 3, b"x" * 32)
         time.sleep(0.05)
         assert sh.state == "pending"
-        rh = ep1.post_recv(0, 3, 32)
+        rh = ep1.post_recv(0, 3, bytearray(32))
         ep0.wait_all((sh,))
         ep1.wait_all((rh,))
         assert sh.state == "complete"
@@ -57,8 +60,8 @@ class TestMatching:
         fabric, ep0, ep1 = make_pair()
         s1 = ep0.post_send(1, 5, b"first---")
         s2 = ep0.post_send(1, 5, b"second--")
-        r1 = ep1.post_recv(0, 5, 8)
-        r2 = ep1.post_recv(0, 5, 8)
+        r1 = ep1.post_recv(0, 5, bytearray(8))
+        r2 = ep1.post_recv(0, 5, bytearray(8))
         ep1.wait_all((r1, r2))
         ep0.wait_all((s1, s2))
         assert r1.payload == b"first---"
@@ -66,7 +69,7 @@ class TestMatching:
 
     def test_wrong_tag_does_not_match(self):
         fabric, ep0, ep1 = make_pair(watchdog=0.3)
-        ep1.post_recv(0, 1, 8)
+        ep1.post_recv(0, 1, bytearray(8))
         sh = ep0.post_send(1, 2, b"12345678")
         with pytest.raises(TransportDeadlock):
             ep0.wait_all((sh,))
@@ -77,13 +80,13 @@ class TestMatching:
         with pytest.raises(ValueError):
             ep.post_send(5, 0, b"12345678")
         with pytest.raises(ValueError):
-            ep.post_recv(-1, 0, 8)
+            ep.post_recv(-1, 0, bytearray(8))
         with pytest.raises(ValueError):
             ep.post_send(1, -3, b"12345678")
 
     def test_truncation_marks_failed(self):
         fabric, ep0, ep1 = make_pair()
-        rh = ep1.post_recv(0, 0, 4)
+        rh = ep1.post_recv(0, 0, bytearray(4))
         ep0.post_send(1, 0, b"way too long")
         with pytest.raises(MessageTruncation):
             ep1.wait_all((rh,))
@@ -91,7 +94,7 @@ class TestMatching:
     def test_delivery_is_a_copy(self):
         fabric, ep0, ep1 = make_pair()
         payload = bytearray(b"mutate-me")
-        rh = ep1.post_recv(0, 0, 16)
+        rh = ep1.post_recv(0, 0, bytearray(16))
         ep0.post_send(1, 0, payload)
         ep1.wait_all((rh,))
         payload[0] = 0
@@ -107,7 +110,7 @@ class TestWaits:
         fabric, ep0, ep1 = make_pair()
         handles = []
         for tag in range(6):
-            handles.append(ep1.post_recv(0, tag, 8))
+            handles.append(ep1.post_recv(0, tag, bytearray(8)))
             handles.append(ep0.post_send(1, tag, bytes([tag]) * 8))
         ep0.wait_all(handles)
         for tag in range(6):
@@ -115,8 +118,8 @@ class TestWaits:
 
     def test_wait_all_unmatched_fires_watchdog(self):
         fabric, ep0, ep1 = make_pair(watchdog=0.3)
-        rh = ep1.post_recv(0, 9, 8)
-        good_r = ep1.post_recv(0, 1, 8)
+        rh = ep1.post_recv(0, 9, bytearray(8))
+        good_r = ep1.post_recv(0, 1, bytearray(8))
         ep0.post_send(1, 1, b"goodgood")
         with pytest.raises(TransportDeadlock) as err:
             ep1.wait_all((rh, good_r))
@@ -125,13 +128,13 @@ class TestWaits:
     def test_wait_any_single(self):
         fabric = Fabric(1)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 8)
+        rh = ep.post_recv(0, 0, bytearray(8))
         ep.post_send(0, 0, b"selfself")
         assert ep.wait_any([rh]) == 0
 
     def test_wait_any_permutation(self):
         fabric, ep0, ep1 = make_pair()
-        recvs = [ep1.post_recv(0, tag, 8) for tag in range(26)]
+        recvs = [ep1.post_recv(0, tag, bytearray(8)) for tag in range(26)]
         import random
 
         order = list(range(26))
@@ -145,8 +148,8 @@ class TestWaits:
 
     def test_wait_any_mixed_pending_complete(self):
         fabric, ep0, ep1 = make_pair()
-        never = ep1.post_recv(0, 99, 8)
-        ready = ep1.post_recv(0, 1, 8)
+        never = ep1.post_recv(0, 99, bytearray(8))
+        ready = ep1.post_recv(0, 1, bytearray(8))
         ep0.post_send(1, 1, b"abcdefgh")
         idx = ep1.wait_any([never, ready])
         assert idx == 1
@@ -162,7 +165,7 @@ class TestWaits:
     def test_completed_handle_waits_return_immediately(self):
         fabric = Fabric(1)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 8)
+        rh = ep.post_recv(0, 0, bytearray(8))
         sh = ep.post_send(0, 0, b"11111111")
         ep.wait_all((rh, sh))
         t0 = time.perf_counter()
@@ -184,9 +187,9 @@ class TestCompleteHandles:
     def test_wait_any_returns_a_complete_first_handle_and_consumes_it(self):
         fabric = Fabric(1, watchdog_seconds=2.0)
         ep = fabric.endpoint(0)
-        done = ep.post_recv(0, 0, 8)
+        done = ep.post_recv(0, 0, bytearray(8))
         ep.post_send(0, 0, b"complete")
-        never = ep.post_recv(0, 1, 8)
+        never = ep.post_recv(0, 1, bytearray(8))
         assert ep.wait_any([done, never]) == 0
         assert done.payload == b"complete"
         with pytest.raises(UsageError):
@@ -196,7 +199,7 @@ class TestCompleteHandles:
     def test_abort_is_raised_over_complete_handles(self, wait):
         fabric = Fabric(1, watchdog_seconds=2.0)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 8)
+        rh = ep.post_recv(0, 0, bytearray(8))
         sh = ep.post_send(0, 0, b"complete")
         assert rh.state == sh.state == "complete"
         fabric.abort("test abort")
@@ -207,7 +210,7 @@ class TestCompleteHandles:
         model = TransportModel(latency_s=0.05, bandwidth_MBps=1e6)
         fabric = Fabric(1, watchdog_seconds=5.0, model=model)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 8)
+        rh = ep.post_recv(0, 0, bytearray(8))
         t0 = time.perf_counter()
         sh = ep.post_send(0, 0, b"12345678")
         assert sh.state == "pending"  # matched, but its completion lies ahead
@@ -219,12 +222,75 @@ class TestCompleteHandles:
     def test_truncation_is_raised_from_a_complete_handle(self, wait):
         fabric = Fabric(1, watchdog_seconds=2.0)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 4)
+        rh = ep.post_recv(0, 0, bytearray(4))
         sh = ep.post_send(0, 0, b"way too long")  # meets its receive at once
         for h in (rh, sh):
             with pytest.raises(MessageTruncation):
                 getattr(ep, wait)([h])
         assert rh.payload is None
+
+
+class TestReceiveBuffers:
+    """A receive lands in the buffer its poster owns: the delivered bytes
+    fill its front, ``payload`` views them, and a payload that does not fit
+    leaves the buffer as it was."""
+
+    BUFFERS = {
+        "bytearray": lambda n: bytearray(_FILL * n),
+        "memoryview": lambda n: memoryview(bytearray(_FILL * n)),
+        "uint8 array": lambda n: np.full(n, _FILL[0], dtype=np.uint8),
+    }
+
+    @given(
+        sent=st.binary(max_size=300),
+        capacity=st.integers(0, 300),
+        kind=st.sampled_from(sorted(BUFFERS)),
+        recv_first=st.booleans(),
+    )
+    @settings(max_examples=80)
+    def test_delivered_bytes_or_truncation(self, sent, capacity, kind, recv_first):
+        fabric = Fabric(1, watchdog_seconds=2.0)
+        ep = fabric.endpoint(0)
+        buffer = self.BUFFERS[kind](capacity)
+        if recv_first:
+            rh = ep.post_recv(0, 0, buffer)
+            sh = ep.post_send(0, 0, sent)
+        else:
+            sh = ep.post_send(0, 0, sent)
+            rh = ep.post_recv(0, 0, buffer)
+        if len(sent) > capacity:
+            for h in (rh, sh):
+                with pytest.raises(MessageTruncation):
+                    ep.wait_all([h])
+            assert rh.payload is None
+            assert bytes(buffer) == _FILL * capacity
+        else:
+            ep.wait_all([rh, sh])
+            assert rh.payload == sent
+            assert bytes(buffer) == sent + _FILL * (capacity - len(sent))
+        fabric.assert_drained()
+
+    @given(st.integers(1, 40), st.integers(0, 3))
+    @settings(max_examples=20)
+    def test_payload_views_a_float_buffer(self, sites, spare):
+        # a halo inbox: float64 values received into a two-dimensional array
+        fabric = Fabric(1, watchdog_seconds=2.0)
+        ep = fabric.endpoint(0)
+        values = np.arange(sites * 3, dtype=np.float64).reshape(sites, 3)
+        inbox = np.zeros((sites + spare, 3))
+        rh = ep.post_recv(0, 0, inbox)
+        ep.wait_all([rh, ep.post_send(0, 0, values)])
+        assert np.array_equal(inbox[:sites], values)
+        assert not inbox[sites:].any()
+        assert len(rh.payload) == values.nbytes
+        inbox[0, 0] = -1.0  # the payload is the buffer, not a copy of it
+        assert bytes(rh.payload[:8]) == np.float64(-1.0).tobytes()
+
+    def test_read_only_buffer_is_refused(self):
+        fabric = Fabric(1)
+        with pytest.raises(ValueError):
+            fabric.endpoint(0).post_recv(0, 0, b"12345678")
+        assert fabric.pending_summary() == []
 
 
 class TestWakeUps:
@@ -250,7 +316,7 @@ class TestWakeUps:
 
     def test_abort_releases_wait_any_before_the_watchdog(self):
         fabric, ep0, ep1 = make_pair(watchdog=10.0)
-        rh = ep1.post_recv(0, 3, 8)
+        rh = ep1.post_recv(0, 3, bytearray(8))
         thread, box = self._blocked(lambda: ep1.wait_any([rh]))
         fabric.abort("test abort")
         thread.join(timeout=5.0)
@@ -263,7 +329,7 @@ class TestWakeUps:
         sh = ep0.post_send(1, 4, b"queued--")
         thread, box = self._blocked(lambda: ep0.wait_all([sh]))
         assert sh.state == "pending"
-        rh = ep1.post_recv(0, 4, 8)
+        rh = ep1.post_recv(0, 4, bytearray(8))
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert "error" not in box and box["elapsed"] < 2.0
@@ -286,12 +352,12 @@ class TestWakeUps:
 
         fabric._conds = [Recording(0), Recording(1)]
         ep0.post_send(1, 0, b"a")
-        ep1.post_recv(0, 1, 8)
+        ep1.post_recv(0, 1, bytearray(8))
         assert notified == []  # nothing matched
-        ep1.post_recv(0, 0, 8)  # completes rank 0's send
+        ep1.post_recv(0, 0, bytearray(8))  # completes rank 0's send
         ep0.post_send(1, 1, b"b")  # completes rank 1's receive
         assert notified == [0, 1]
-        ep0.post_recv(0, 2, 8)
+        ep0.post_recv(0, 2, bytearray(8))
         ep0.post_send(0, 2, b"c")  # a self-message wakes no one
         assert notified == [0, 1]
         fabric.abort("done")
@@ -333,15 +399,15 @@ class FabricMachine(RuleBasedStateMachine):
         self.eps = [self.fabric.endpoint(0), self.fabric.endpoint(1)]
         self.serial = 0
         self.sends = defaultdict(deque)  # key -> unmatched (handle, bytes, array)
-        self.recvs = defaultdict(deque)  # key -> unmatched (handle, capacity)
-        self.pairs = []  # (send, recv, bytes sent, array or None, truncated)
+        self.recvs = defaultdict(deque)  # key -> unmatched (handle, buffer)
+        self.pairs = []  # (send, recv, bytes sent, array or None, buffer, truncated)
         self.fresh = []  # completed handles no wait_any has returned yet
         self.aborted = False
 
     def _match(self, send, recv):
-        (sh, sent, array), (rh, capacity) = send, recv
-        truncated = len(sent) > capacity
-        self.pairs.append((sh, rh, sent, array, truncated))
+        (sh, sent, array), (rh, buffer) = send, recv
+        truncated = len(sent) > len(buffer)
+        self.pairs.append((sh, rh, sent, array, buffer, truncated))
         if not truncated:
             self.fresh.extend((sh, rh))
 
@@ -369,16 +435,18 @@ class FabricMachine(RuleBasedStateMachine):
 
     @rule(dest=ranks, src=ranks, tag=tags, capacity=st.integers(0, 200))
     def post_recv(self, dest, src, tag, capacity):
+        # filled, so the invariant below sees which bytes a delivery wrote
+        buffer = bytearray(_FILL * capacity)
         if self.aborted:
             with pytest.raises(TransportAborted):
-                self.eps[dest].post_recv(src, tag, capacity)
+                self.eps[dest].post_recv(src, tag, buffer)
             return
-        rh = self.eps[dest].post_recv(src, tag, capacity)
+        rh = self.eps[dest].post_recv(src, tag, buffer)
         key = (src, dest, tag)
         if self.sends[key]:
-            self._match(self.sends[key].popleft(), (rh, capacity))
+            self._match(self.sends[key].popleft(), (rh, buffer))
         else:
-            self.recvs[key].append((rh, capacity))
+            self.recvs[key].append((rh, buffer))
 
     # capacity from 44, the serial and the longest body, so nothing truncates
     @precondition(lambda self: not self.aborted)
@@ -392,7 +460,8 @@ class FabricMachine(RuleBasedStateMachine):
             return  # the send would not be this receive's match
         self.serial += 1
         sent = self.serial.to_bytes(4, "little") + body
-        rh = self.eps[dest].post_recv(src, tag, capacity)
+        buffer = bytearray(_FILL * capacity)
+        rh = self.eps[dest].post_recv(src, tag, buffer)
         box = {}
 
         def wait():
@@ -411,7 +480,7 @@ class FabricMachine(RuleBasedStateMachine):
         helper.join(timeout=2.0)
         assert not helper.is_alive()
         assert box == {"payload": sent}
-        self._match((sh, sent, None), (rh, capacity))
+        self._match((sh, sent, None), (rh, buffer))
 
     @precondition(lambda self: self.fresh)
     @rule(data=st.data(), rank=ranks)
@@ -431,7 +500,7 @@ class FabricMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.pairs)
     @rule(data=st.data(), rank=ranks)
     def wait_all(self, data, rank):
-        sh, rh, sent, array, truncated = data.draw(st.sampled_from(self.pairs))
+        sh, rh, sent, array, _, truncated = data.draw(st.sampled_from(self.pairs))
         ep = self.eps[rank]
         if self.aborted:
             with pytest.raises(TransportAborted):
@@ -461,8 +530,13 @@ class FabricMachine(RuleBasedStateMachine):
 
     @invariant()
     def delivered_bytes_equal_sent_bytes(self):
-        for _, rh, sent, _, truncated in self.pairs:
+        # a delivery lands in the leading bytes of the receiver's buffer and
+        # leaves the rest alone; a truncated one leaves all of it alone
+        for _, rh, sent, _, buffer, truncated in self.pairs:
             assert rh.payload == (None if truncated else sent)
+            kept = 0 if truncated else len(sent)
+            assert buffer[:kept] == sent[:kept]
+            assert buffer[kept:] == _FILL * (len(buffer) - kept)
 
     @invariant()
     def unmatched_requests_are_the_model_queues(self):
@@ -476,7 +550,7 @@ class FabricMachine(RuleBasedStateMachine):
             return  # no post can match anything now; the rules checked that
         handles = []
         for (src, dest, tag), q in self.sends.items():
-            handles.extend(self.eps[dest].post_recv(src, tag, 200) for _ in q)
+            handles.extend(self.eps[dest].post_recv(src, tag, bytearray(200)) for _ in q)
         for (src, dest, tag), q in self.recvs.items():
             handles.extend(self.eps[src].post_send(dest, tag, b"") for _ in q)
         self.eps[0].wait_all(handles)
@@ -519,7 +593,7 @@ class TestIntegrity:
 
         def receiver():
             handles = [
-                ep1.post_recv(0, i, len(payload))
+                ep1.post_recv(0, i, bytearray(len(payload)))
                 for i, (_, payload) in enumerate(messages)
             ]
             for _ in range(len(handles)):
@@ -542,7 +616,7 @@ class TestCostModel:
         model = TransportModel(latency_s=0.05, bandwidth_MBps=1e6)
         fabric = Fabric(1, watchdog_seconds=5.0, model=model)
         ep = fabric.endpoint(0)
-        rh = ep.post_recv(0, 0, 8)
+        rh = ep.post_recv(0, 0, bytearray(8))
         t0 = time.perf_counter()
         sh = ep.post_send(0, 0, b"12345678")
         ep.wait_all((rh, sh))
@@ -555,7 +629,7 @@ class TestCostModel:
         ep = fabric.endpoint(0)
         handles = []
         for tag in range(5):
-            handles.append(ep.post_recv(0, tag, 8))
+            handles.append(ep.post_recv(0, tag, bytearray(8)))
             handles.append(ep.post_send(0, tag, b"00000000"))
         t0 = time.perf_counter()
         ep.wait_all(handles)
