@@ -217,7 +217,7 @@ class HaloBuffers:
     strategy's send buffers are consecutive slices of one send arena, and
     its inboxes of one receive arena, in post order.  The two strategies
     share the arenas, so only one exchange may be in flight at a time;
-    ``in_flight`` is set from a non-blocking start to its end.  The first
+    ``token`` holds the non-blocking exchange in flight, or None.  The first
     ``planes`` direct messages are the planes; the rest, the edges and
     corners, are packed by one gather of ``send_index`` into ``gathered``
     and unpacked by one scatter of ``scattered`` to ``halo_index``, both
@@ -261,7 +261,7 @@ class HaloBuffers:
         staged_msgs = _messages(staged_specs, m, out, inbox)
         self.stages = [[msg for msg in staged_msgs if (msg.send_id - 26) // 2 == dim]
                        for dim in range(3)]
-        self.in_flight = False
+        self.token = None
         self.counters = ExchangeCounters()
 
     def check_field(self, field):
@@ -279,12 +279,11 @@ class ExchangeToken:
 
     recvs: list
     sends: list
-    finished: bool = False
 
 
 def _check_idle(field, buffers):
     buffers.check_field(field)
-    if buffers.in_flight:
+    if buffers.token is not None:
         raise UsageError("a non-blocking exchange on these buffers has not ended")
 
 
@@ -317,12 +316,12 @@ def exchange_nonblocking_start(field, topo, buffers):
     ep = buffers.endpoint
     counters = buffers.counters
     direct = buffers.direct
-    buffers.in_flight = True
     recvs = _post_receives(ep, direct)
     sends = _post_sends(ep, direct[:buffers.planes], counters, field.data)
     np.take(field.store.reshape(-1), buffers.send_index, out=buffers.gathered, mode="clip")
     sends += _post_sends(ep, direct[buffers.planes:], counters)
-    return ExchangeToken(recvs, sends)
+    buffers.token = ExchangeToken(recvs, sends)
+    return buffers.token
 
 
 def exchange_nonblocking_end(token, field, buffers):
@@ -335,8 +334,8 @@ def exchange_nonblocking_end(token, field, buffers):
     call scans only handles still in flight.  ``token`` is left intact.
     """
     buffers.check_field(field)
-    if token.finished:
-        raise UsageError("exchange token already completed")
+    if token is not buffers.token:
+        raise UsageError("exchange token is not the exchange in flight on these buffers")
     ep = buffers.endpoint
     data = field.data
     recvs = list(token.recvs)
@@ -362,8 +361,7 @@ def exchange_nonblocking_end(token, field, buffers):
     while sends:
         sends.pop(ep.wait_any(sends))
     buffers.counters.waits += 1  # one logical completion barrier
-    token.finished = True
-    buffers.in_flight = False
+    buffers.token = None
 
 
 def exchange_blocking(field, topo, buffers):

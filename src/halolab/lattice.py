@@ -78,11 +78,6 @@ def d3q19():
     return D3Q19
 
 
-def d3q27():
-    """The D3Q27 constant."""
-    return D3Q27
-
-
 def velocity_set_for(m):
     """Return the canonical velocity set with m components, if one exists."""
     if m == 19:

@@ -1,5 +1,6 @@
 """Rank orchestration: spawn one thread per subdomain and run the harnesses
-(benchmark, test-halo, regression, ping-pong).
+(benchmark, test-halo, regression, ping-pong).  The first three run one
+rank loop, ``_bench_body``, so the halos checked are those of the loop timed.
 
 Ranks are threads on one machine, so configurations beyond the hardware
 parallelism run fine for correctness work but their timings are flagged
@@ -10,14 +11,14 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
 from . import lattice
 from .errors import TransportAborted, TransportDeadlock
-from .halo import STRATEGIES, HaloBuffers, exchange
+from .halo import STRATEGIES, HaloBuffers
 from .metrics import BenchRecord
 from .overlap import synthetic_workload
 from .topology import CartesianTopology
@@ -40,9 +41,12 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
     fast instead of hitting the watchdog; that first error is re-raised.
     The barrier shares the fabric's watchdog: a rank that waits there
     longer fails with ``TransportDeadlock``.  Once a rank has failed, the
-    others get one more watchdog period to end; ranks still running then
-    are left behind (the threads are daemons) and named in the
-    ``TransportDeadlock`` that is raised instead.
+    others get one more watchdog period to end, and once one has ended
+    cleanly, two: a rank blocked in the fabric or at a barrier fails by
+    itself within one.  Ranks still running then are left behind (the
+    threads are daemons) and named in the ``TransportDeadlock`` raised
+    instead.  Until a rank ends there is no bound: a run may compute as
+    long as it needs.
     """
     fabric = Fabric(nranks, watchdog_seconds=watchdog_seconds, model=model)
     barrier = threading.Barrier(nranks, timeout=watchdog_seconds)
@@ -79,8 +83,11 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
     for t in threads:
         t.start()
     with changed:
-        changed.wait_for(lambda: errors or len(ended) == nranks)
-        changed.wait_for(lambda: len(ended) == nranks, timeout=watchdog_seconds)
+        changed.wait_for(lambda: errors or ended)
+        if not errors:
+            changed.wait_for(lambda: errors or len(ended) == nranks, 2 * watchdog_seconds)
+        if errors:
+            changed.wait_for(lambda: len(ended) == nranks, watchdog_seconds)
         stuck = sorted(set(range(nranks)) - ended)
         failures = list(errors)  # a rank left behind may still append
     for rank in sorted(ended):
@@ -99,23 +106,16 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
                 f"rank {rank} failed: {exc!r}"
             ) from exc
         raise exc
+    if stuck:
+        raise TransportDeadlock(
+            f"rank(s) {stuck} still running {2 * watchdog_seconds:.1f}s after a peer ended")
     fabric.assert_drained()
     return results
 
 
-def _transport_model(cfg):
-    if cfg.model_latency_us is None:
-        return None
-    return TransportModel(cfg.model_latency_us * 1e-6, cfg.model_bandwidth_MBps)
-
-
-def _rank_rng(cfg, rank):
-    return np.random.default_rng([cfg.seed, rank])
-
-
 def _rank_fields(cfg, local_dims, rank, vs):
     """A rank's seeded field and, with physics, the spare that stream fills."""
-    rng = _rank_rng(cfg, rank)
+    rng = np.random.default_rng([cfg.seed, rank])
     if vs is not None:
         field = lattice.random_state(local_dims, vs, rng)
         return field, lattice.DistributionField(local_dims, cfg.m)
@@ -132,29 +132,34 @@ def _lb_step(field, spare, vs, tau):
     return spare, field
 
 
+def _timing_scope(cfg):
+    """Whole-step timing when work is attached: it belongs inside the span."""
+    return "whole_step" if cfg.overlap_enabled or cfg.overlap_intensity > 0 else "halo_only"
+
+
 def _bench_body(cfg, topo, vs, fields):
-    """The rank body of one repetition; rank r takes over ``fields[r]`` and
-    returns (halo seconds, step seconds, counters) of its timed steps."""
+    """The rank loop of every harness.  Rank r takes over ``fields[r]``,
+    leaves its final field there after the last barrier and returns (halo
+    seconds, step seconds, counters) of its timed steps."""
     start, end = STRATEGIES[cfg.strategy]
-    # any nonzero intensity attaches halo-independent work to every step;
-    # overlap_enabled decides whether it runs inside the start/end window
-    # or serially after the exchange
+    # work runs only at a nonzero intensity; overlap_enabled decides whether
+    # it runs inside the start/end window or serially after the exchange
     intensity = cfg.overlap_intensity
-    overlapped = cfg.overlap_enabled
-    serial = intensity > 0 and not overlapped
+    overlapped = intensity > 0 and cfg.overlap_enabled
+    serial = intensity > 0 and not cfg.overlap_enabled
+    whole_step = _timing_scope(cfg) == "whole_step"
 
     def body(ctx):
-        # the list lets go, so the fields are freed when the rank ends
+        # the list lets go, so the spare is freed when the rank ends
         field, alt = fields[ctx.rank]
         fields[ctx.rank] = None
         buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ctx.endpoint)
-        halo_s = 0.0
+        halo_s, t0 = 0.0, perf_counter()
         for i in range(cfg.warmup + cfg.iterations):
             if i == cfg.warmup:
                 buffers.counters.reset()
                 ctx.barrier.wait()
-                halo_s = 0.0
-                t0 = perf_counter()
+                halo_s, t0 = 0.0, perf_counter()
             h0 = perf_counter()
             token = start(field, topo, buffers)
             if overlapped:
@@ -165,12 +170,32 @@ def _bench_body(cfg, topo, vs, fields):
                 synthetic_workload(field, intensity)
             if vs is not None:
                 field, alt = _lb_step(field, alt, vs, cfg.tau)
-        # whole-step timing when work is attached: it belongs inside the span
-        t_halo = perf_counter() - t0 if overlapped or serial else halo_s
+        t_halo = perf_counter() - t0 if whole_step else halo_s
         ctx.barrier.wait()
+        fields[ctx.rank] = field
         return t_halo, perf_counter() - t0, buffers.counters.snapshot()
 
     return body
+
+
+def _launch(cfg, make_fields=_rank_fields):
+    """Run ``_bench_body`` once on every rank, rank r starting from
+    ``make_fields(cfg, local_dims, r, vs)``; returns (topology, results, final fields)."""
+    proc, local, _ = cfg.resolve_dims()
+    topo = CartesianTopology(proc, periodic=cfg.periodic)
+    vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
+    model = None if cfg.model_latency_us is None else TransportModel(
+        cfg.model_latency_us * 1e-6, cfg.model_bandwidth_MBps)
+    # Fields are made here, not on the rank threads, which live for one
+    # run: glibc's arena of a finished rank thread kept the freed fields
+    # resident, and a run whose rank thread was given another arena made a
+    # second set on top (the peak RSS of a process repeating one-rank L=32
+    # runs read ~57 MB or, in some processes, ~74 MB).  Made by this
+    # thread, they are freed into one arena.
+    fields = [make_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
+    outs = run_ranks(topo.nranks, _bench_body(cfg, topo, vs, fields),
+                     watchdog_seconds=cfg.watchdog_seconds, model=model)
+    return topo, outs, fields
 
 
 def run_benchmark(cfg):
@@ -181,27 +206,16 @@ def run_benchmark(cfg):
     """
     cfg.validate()
     proc, local, _ = cfg.resolve_dims()
-    topo = CartesianTopology(proc, periodic=cfg.periodic)
-    vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
-    model = _transport_model(cfg)
     halo_times, step_times, bytes_sent, messages, waits = [], [], [], [], []
     for _ in range(cfg.repetitions):
-        # Fields are made here, not on the rank threads, which live for one
-        # repetition: glibc's arena of a finished rank thread kept the freed
-        # fields resident, and a repetition whose rank thread was given
-        # another arena made a second set on top (the peak RSS of a process
-        # repeating one-rank L=32 runs read ~57 MB or, in some processes,
-        # ~74 MB).  Made by this thread, they are freed into one arena.
-        fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
-        body = _bench_body(cfg, topo, vs, fields)
-        outs = run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds, model=model)
+        # the fields go here, before the next repetition makes its own
+        topo, outs = _launch(cfg)[:2]
         t_halo, t_step, counters = zip(*outs)
         halo_times.append(max(t_halo))
         step_times.append(max(t_step))
         bytes_sent.append(sum(c.bytes_sent for c in counters))
         messages.append(sum(c.sends for c in counters))
         waits.append(sum(c.waits for c in counters))
-    whole_step = cfg.overlap_enabled or cfg.overlap_intensity > 0
     record = BenchRecord(
         strategy=cfg.strategy,
         proc_dims=proc,
@@ -213,7 +227,7 @@ def run_benchmark(cfg):
         bytes_sent=bytes_sent,
         messages_sent=messages,
         waits=waits,
-        timing_scope="whole_step" if whole_step else "halo_only",
+        timing_scope=_timing_scope(cfg),
     )
     meta = cfg.meta()
     meta["timing_scope"] = record.timing_scope
@@ -326,22 +340,19 @@ def verify_halo_pattern(data, topo, rank, local_dims, m, strategy):
 
 def run_test_halo(cfg, strategies=tuple(STRATEGIES)):
     """Unit test of the exchange itself: encoded boundary values must land
-    on exactly the right halo sites of every neighbour."""
+    on exactly the right halo sites of every neighbour.  Runs one step of
+    the benchmark loop per strategy, with no physics, work or cost model."""
     cfg.validate()
-    proc, local, _ = cfg.resolve_dims()
-    topo = CartesianTopology(proc, periodic=cfg.periodic)
     checked_total = 0
     failures = []
     for strategy in strategies:
-        def body(ctx, strategy=strategy):
-            field = make_pattern_field(local, cfg.m, ctx.rank)
-            buffers = HaloBuffers(topo, ctx.rank, local, cfg.m, ctx.endpoint)
-            exchange(field, topo, buffers, strategy)
-            return field.data.copy()
-
-        outs = run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds)
-        for rank, data in enumerate(outs):
-            checked, bad = verify_halo_pattern(data, topo, rank, local, cfg.m, strategy)
+        run = replace(cfg, strategy=strategy, physics="none", iterations=1, warmup=0,
+                      overlap_intensity=0, model_latency_us=None)
+        topo, _, fields = _launch(
+            run, lambda cfg, local, rank, vs: (make_pattern_field(local, cfg.m, rank), None))
+        for rank, field in enumerate(fields):
+            checked, bad = verify_halo_pattern(
+                field.data, topo, rank, field.local_dims, cfg.m, strategy)
             checked_total += checked
             failures.extend(bad)
     return HaloTestReport(checked_total, failures)
@@ -371,23 +382,11 @@ class RegressionReport:
 
 
 def run_physics(cfg, strategy, steps):
-    """Seeded full-physics run (exchange, stream, collide); per-rank final data."""
-    proc, local, _ = cfg.resolve_dims()
-    topo = CartesianTopology(proc, periodic=cfg.periodic)
-    vs = lattice.velocity_set_for(cfg.m)
-    fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
-
-    def body(ctx):
-        field, alt = fields[ctx.rank]
-        fields[ctx.rank] = None
-        buffers = HaloBuffers(topo, ctx.rank, local, cfg.m, ctx.endpoint)
-        for _ in range(steps):
-            exchange(field, topo, buffers, strategy)
-            field, alt = _lb_step(field, alt, vs, cfg.tau)
-        return field.data.copy()
-
-    return run_ranks(topo.nranks, body, watchdog_seconds=cfg.watchdog_seconds,
-                     model=_transport_model(cfg))
+    """Seeded full-physics run of the benchmark loop (exchange, stream,
+    collide) for ``steps`` steps; per-rank final data."""
+    run = replace(cfg, strategy=strategy, physics="full", iterations=steps, warmup=0,
+                  overlap_intensity=0)
+    return [field.data for field in _launch(run)[2]]
 
 
 def run_regression(cfg, steps):

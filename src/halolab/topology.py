@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from itertools import product
 
 from .errors import ConfigurationError
@@ -78,23 +79,27 @@ class CartesianTopology:
         y, z = divmod(rem, pz)
         return (x, y, z)
 
-    def _neighbour(self, coords, disp):
-        """Rank at ``coords + disp``, wrapped on periodic axes;
-        NO_NEIGHBOUR past an open edge."""
-        out = []
-        for c, d, n, per in zip(coords, disp, self.dims, self.periodic):
-            c += d
-            if per:
-                c %= n
-            elif not 0 <= c < n:
-                return NO_NEIGHBOUR
-            out.append(c)
-        return self.row_major_rank(*out)
-
     def full_neighbours(self, rank):
-        """All 26 neighbour ranks in the fixed NNN..PPP displacement order."""
-        coords = self.cart_coords(rank)
-        return tuple(self._neighbour(coords, d) for d in DISPLACEMENTS)
+        """All 26 neighbour ranks in the fixed NNN..PPP displacement order,
+        wrapped on periodic axes; NO_NEIGHBOUR past an open edge."""
+        self.cart_coords(rank)  # rejects a rank outside the grid
+        return _neighbour_table(self)[int(rank)]
+
+
+@lru_cache(maxsize=64)
+def _neighbour_table(topo):
+    """Row r: the 26 neighbours of rank r.  Cached per grid, since equal
+    topologies hash alike."""
+    # per axis and coordinate: the coordinates one step toward -1, 0 and +1,
+    # None past an open edge, so their product runs in displacement order
+    moves = [[[(c + d) % n if per else c + d if 0 <= c + d < n else None for d in (-1, 0, 1)]
+              for c in range(n)] for n, per in zip(topo.dims, topo.periodic)]
+    table = []
+    for coords in product(*map(range, topo.dims)):
+        row = [NO_NEIGHBOUR if None in c else topo.row_major_rank(*c)
+               for c in product(*(axis[i] for axis, i in zip(moves, coords)))]
+        table.append(tuple(row[:13] + row[14:]))  # row[13] is the rank itself
+    return tuple(table)
 
 
 def decompose(global_dims, proc_dims):

@@ -202,7 +202,7 @@ def test_criterion_5_cost_model_latency_gap():
 
 
 def test_criterion_6_conservation():
-    vs = lattice.d3q19()
+    vs = lattice.D3Q19
     topo = CartesianTopology((2, 2, 2))
     dims = (4, 4, 4)
     steps = 100

@@ -5,9 +5,11 @@ import platform
 import numpy as np
 import pytest
 
+from halolab import runner
 from halolab.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from halolab.config import SETTINGS, RunConfig, build_config, parse_dims
 from halolab.errors import ConfigurationError
+from halolab.lattice import D3Q19, random_state
 from halolab.metrics import halo_sites
 from halolab.reporting import (
     RAW_COLUMNS,
@@ -195,6 +197,16 @@ class TestRunBenchmark:
         assert record.timing_scope == "whole_step"
         assert meta["timing_scope"] == "whole_step"
 
+    def test_work_runs_only_at_nonzero_intensity(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "synthetic_workload", lambda field, n: calls.append(n))
+        for enabled, scope in ((True, "whole_step"), (False, "halo_only")):
+            cfg = small_cfg(strategy="nonblocking", overlap_enabled=enabled)
+            assert run_benchmark(cfg)[0].timing_scope == scope
+        assert calls == []
+        run_benchmark(small_cfg(strategy="nonblocking", overlap_intensity=3))
+        assert calls == [3] * 2 * (1 + 4) * 2  # ranks, warm-up and timed steps, repetitions
+
     def test_full_physics_runs(self):
         cfg = small_cfg(physics="full", iterations=2, repetitions=1)
         record, _ = run_benchmark(cfg)
@@ -325,6 +337,12 @@ class TestRegression:
         cfg = small_cfg(physics="full")
         report = run_regression(cfg, steps=0)
         assert report.passed and report.max_delta == 0.0
+
+    def test_zero_steps_return_the_seeded_fields(self):
+        cfg = small_cfg(physics="full")
+        for rank, data in enumerate(run_physics(cfg, "nonblocking", steps=0)):
+            rng = np.random.default_rng([cfg.seed, rank])
+            assert np.array_equal(data, random_state((3, 3, 3), D3Q19, rng).data)
 
     def test_seeded_runs_are_deterministic(self):
         cfg = small_cfg(proc_dims=(2, 1, 1), local_dims=(4, 4, 4), physics="full")

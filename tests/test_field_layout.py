@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halolab import lattice
-from halolab.lattice import DistributionField, d3q19, d3q27, equilibrium
+from halolab.lattice import D3Q19, D3Q27, DistributionField, equilibrium
 
 
 def test_data_is_a_writable_view_of_store():
@@ -27,21 +27,20 @@ def _site_major_equilibrium(rho, u, vs):
     return vs.w * rho[..., np.newaxis] * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 
 
-@pytest.mark.parametrize("vs_factory", [d3q19, d3q27])
+@pytest.mark.parametrize("vs", [D3Q19, D3Q27], ids=["d3q19", "d3q27"])
 @pytest.mark.parametrize("dims", [(5, 3, 4), (1, 1, 1), (12, 11, 10)])
-def test_equilibrium_matches_the_site_major_formula(vs_factory, dims):
-    vs = vs_factory()
+def test_equilibrium_matches_the_site_major_formula(vs, dims):
     rng = np.random.default_rng(dims)
     rho = rng.uniform(0.5, 1.5, size=dims)
     u = rng.uniform(-0.1, 0.1, size=dims + (3,))
     assert np.array_equal(equilibrium(rho, u, vs), _site_major_equilibrium(rho, u, vs))
 
 
-@pytest.mark.parametrize("vs_factory", [d3q19, d3q27])
-def test_random_state_matches_the_site_major_draw(vs_factory):
+@pytest.mark.parametrize("vs", [D3Q19, D3Q27], ids=["d3q19", "d3q27"])
+def test_random_state_matches_the_site_major_draw(vs):
     # the draw as it was made into site-major storage: rho, u, then one
     # noise factor per site and component, in C order
-    vs, dims = vs_factory(), (5, 3, 4)
+    dims = (5, 3, 4)
     rng = np.random.default_rng(123)
     rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=dims)
     u = 0.02 * rng.uniform(-1.0, 1.0, size=dims + (3,))

@@ -1,4 +1,5 @@
 import ast
+import threading
 import time
 
 import numpy as np
@@ -177,6 +178,24 @@ class TestSingleRankExchange:
             return True
 
         assert run_ranks(1, body, watchdog_seconds=5.0)[0]
+
+    def test_ending_an_earlier_token_is_usage_error(self):
+        dims, m = (2, 2, 2), 3
+        topo = CartesianTopology((1, 1, 1))
+
+        def body(ctx):
+            f = random_field(dims, m, 5)
+            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
+            earlier = exchange_nonblocking_start(f, topo, buffers)
+            exchange_nonblocking_end(earlier, f, buffers)
+            later = exchange_nonblocking_start(f, topo, buffers)
+            with pytest.raises(UsageError):
+                exchange_nonblocking_end(earlier, f, buffers)
+            exchange_nonblocking_end(later, f, buffers)
+            return f
+
+        f = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        assert np.array_equal(halo_shell(f), periodic_wrap_shell(f))
 
 
     @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
@@ -396,7 +415,7 @@ class TestDirectWireContent:
 
 class TestMultiRankConservation:
     def test_exchange_stream_conserves_mass(self):
-        vs = lattice.d3q19()
+        vs = lattice.D3Q19
         topo = CartesianTopology((2, 2, 1))
         dims = (3, 3, 4)
 
@@ -472,6 +491,35 @@ class TestDeadlockAnnotation:
         assert "barrier" in str(err.value)
         if sleep_s > 2.5:
             assert "rank(s) [1] still running" in str(err.value)
+
+
+class TestRunRanks:
+    def test_rank_stuck_after_a_peer_ended_is_named(self):
+        # rank 1 blocks outside the fabric, so no watchdog of its own fires
+        release = threading.Event()
+        outcome = []
+
+        def body(ctx):
+            if ctx.rank == 1:
+                release.wait()
+            return ctx.rank
+
+        def call():
+            try:
+                outcome.append(run_ranks(2, body, watchdog_seconds=0.2))
+            except TransportDeadlock as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "run_ranks hung on a rank stuck outside the fabric"
+        finally:
+            release.set()
+        [err] = outcome
+        assert isinstance(err, TransportDeadlock)
+        assert "rank(s) [1] still running" in str(err)
 
 
 class TestCounters:

@@ -10,8 +10,8 @@ from halolab.errors import ZeroDensityError
 from halolab.lattice import (
     DistributionField,
     collide,
-    d3q19,
-    d3q27,
+    D3Q19,
+    D3Q27,
     equilibrium,
     stream,
     total_mass,
@@ -22,7 +22,7 @@ from halolab.metrics import halo_sites
 
 @pytest.fixture(scope="module")
 def vs19():
-    return d3q19()
+    return D3Q19
 
 
 class TestVelocitySet:
@@ -34,19 +34,17 @@ class TestVelocitySet:
         assert set(norms.tolist()) == {0, 1, 2}
 
     def test_d3q27(self):
-        vs = d3q27()
+        vs = D3Q27
         assert vs.m == 27
         assert abs(vs.w.sum() - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("vs_factory", [d3q19, d3q27])
-    def test_opposite_is_involution(self, vs_factory):
-        vs = vs_factory()
+    @pytest.mark.parametrize("vs", [D3Q19, D3Q27], ids=["d3q19", "d3q27"])
+    def test_opposite_is_involution(self, vs):
         assert np.all(vs.opposite[vs.opposite] == np.arange(vs.m))
         assert np.all(vs.e[vs.opposite] == -vs.e)
 
-    @pytest.mark.parametrize("vs_factory, m", [(d3q19, 19), (d3q27, 27)])
-    def test_canonical_set_properties(self, vs_factory, m):
-        vs = vs_factory()
+    @pytest.mark.parametrize("vs, m", [(D3Q19, 19), (D3Q27, 27)], ids=["d3q19-19", "d3q27-27"])
+    def test_canonical_set_properties(self, vs, m):
         assert vs.e.shape == (m, 3) and vs.e.dtype == np.int64
         assert vs.w.shape == (m,) and vs.w.dtype == np.float64
         assert set(vs.e.ravel().tolist()) <= {-1, 0, 1}
@@ -57,10 +55,9 @@ class TestVelocitySet:
         assert np.all(vs.w > 0.0)
         assert abs(vs.w.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("vs_factory, m", [(d3q19, 19), (d3q27, 27)])
-    def test_one_shared_read_only_set(self, vs_factory, m):
-        vs = vs_factory()
-        assert vs is vs_factory() is lattice.velocity_set_for(m)
+    @pytest.mark.parametrize("vs, m", [(D3Q19, 19), (D3Q27, 27)], ids=["d3q19-19", "d3q27-27"])
+    def test_one_shared_read_only_set(self, vs, m):
+        assert vs is lattice.velocity_set_for(m)
         for arr in (vs.e, vs.w, vs.opposite):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -109,7 +106,7 @@ class TestMoments:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
     def test_velocity_negation_symmetric_field(self, seed):
-        vs = d3q19()
+        vs = D3Q19
         rng = np.random.default_rng(seed)
         f = DistributionField((2, 2, 2), 19)
         half = rng.uniform(0.1, 1.0, size=19)
@@ -145,7 +142,7 @@ class TestEquilibrium:
     )
     @settings(max_examples=60)
     def test_moment_identities(self, rho, u, ):
-        vs = d3q19()
+        vs = D3Q19
         feq = equilibrium(rho, u, vs)
         assert abs(feq.sum() - rho) <= 1e-14 * rho
         mom = feq @ vs.e.astype(float)
@@ -177,7 +174,7 @@ class TestCollide:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_conserves_density_and_momentum(self, seed):
-        vs = d3q19()
+        vs = D3Q19
         rng = np.random.default_rng(seed)
         f = lattice.random_state((4, 3, 2), vs, rng)
         interior = f.interior()
@@ -213,7 +210,7 @@ class TestStream:
     @given(st.data())
     @settings(max_examples=30)
     def test_single_particle_trace(self, data):
-        vs = d3q19()
+        vs = D3Q19
         i = data.draw(st.integers(0, 18))
         site = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
         f = DistributionField((3, 3, 3), 19)
@@ -289,13 +286,12 @@ def _shell(data):
 class TestKernelsMatchReference:
     @given(
         dims=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
-        vs_factory=st.sampled_from([d3q19, d3q27]),
+        vs=st.sampled_from([D3Q19, D3Q27]),
         tau=st.floats(0.5, 2.0, exclude_min=True),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60)
-    def test_bit_for_bit(self, dims, vs_factory, tau, seed):
-        vs = vs_factory()
+    def test_bit_for_bit(self, dims, vs, tau, seed):
         rng = np.random.default_rng(seed)
         field = DistributionField(dims, vs.m)
         field.data[...] = rng.uniform(0.01, 1.0, size=field.data.shape)
@@ -317,7 +313,7 @@ class TestKernelsMatchReference:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
     def test_equilibrium_bit_for_bit(self, seed):
-        vs = d3q19()
+        vs = D3Q19
         rng = np.random.default_rng(seed)
         rho = rng.uniform(0.5, 1.5, size=(3, 4, 5))
         u = rng.uniform(-0.1, 0.1, size=(3, 4, 5, 3))
