@@ -115,18 +115,20 @@ def _cmd_test_halo(args):
 
 
 def _cmd_regression(args):
-    cfg = _config_from_args(args)
-    cfg.physics = "full"
-    report = run_regression(cfg, steps=args.steps)
+    report = run_regression(_config_from_args(args), steps=args.steps)
     print(report.describe())
     return 0 if report.passed else 1
 
 
 def _cmd_pingpong(args):
+    sizes = None
     if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    else:
-        sizes = None
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            raise ConfigurationError(f"--sizes expects byte counts, got {args.sizes!r}") from None
+        if min(sizes) < 8:
+            raise ConfigurationError(f"message sizes must be at least 8 bytes, got {min(sizes)}")
     samples = bandwidth_sweep(sizes)
     out = Path(args.output or "pingpong.csv")
     write_csv([asdict(s) for s in samples], out, [f.name for f in fields(PingPongSample)])
@@ -142,7 +144,14 @@ def _cmd_pingpong(args):
 
 
 def _cmd_model(args):
-    params = TransportModel(args.latency_us * 1e-6, args.bandwidth_mbps)
+    if min(args.L) < 1:
+        raise ConfigurationError(f"L must be at least 1, got {min(args.L)}")
+    if not 1 <= args.m <= 27:
+        raise ConfigurationError(f"m={args.m} outside the supported 1..27 range")
+    try:
+        params = TransportModel(args.latency_us * 1e-6, args.bandwidth_mbps)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad transport model: {exc}") from None
     outdir = Path(args.output or "model_out")
     outdir.mkdir(parents=True, exist_ok=True)
     m = args.m
@@ -170,11 +179,14 @@ def _cmd_model(args):
 
 
 def _cmd_verify(args):
-    problems = verify_raw_csv(args.input)
+    try:
+        problems = verify_raw_csv(args.input)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {args.input}: {exc.strerror}") from None
     if problems:
         for p in problems:
             print(p)
-        print(f"verify FAILED: {len(problems)} derived values do not recompute")
+        print(f"verify FAILED: {len(problems)} problem(s) in {args.input}")
         return 1
     print(f"verify passed: every derived column of {args.input} recomputes bit-exactly")
     return 0

@@ -37,6 +37,11 @@ def halo_sites(local_dims):
     return (a + 2) * (b + 2) * (c + 2) - a * b * c
 
 
+def halo_bytes(local_dims, m):
+    """Bytes in one full halo shell of m 8-byte components."""
+    return halo_sites(local_dims) * 8 * m
+
+
 def comm_work_ratio(local_dims):
     """Analytic communication-to-work scaling for a box (a, b, c).
 
@@ -57,11 +62,11 @@ def comm_work_ratio(local_dims):
 def effective_bandwidth(local_dims, m, t_exchange):
     """Halo bytes moved per exchange second, in MBytes/s.
 
-    halo_sites(dims) * 8 * m / t / 1e6; t is the time of one exchange.
+    halo_bytes(dims, m) / t / 1e6; t is the time of one exchange.
     """
     if not t_exchange > 0.0:
         raise ValueError("exchange time must be positive")
-    return halo_sites(local_dims) * 8 * m / t_exchange / 1e6
+    return halo_bytes(local_dims, m) / t_exchange / 1e6
 
 
 def updates_per_core(local_dims, t_exchange):
@@ -113,9 +118,7 @@ def stddev(samples):
     this, never the other way around.
     """
     xs = [float(v) for v in samples]
-    if not xs:
-        raise ValueError("need at least one sample")
-    mu = math.fsum(xs) / len(xs)
+    mu = mean(xs)
     return math.sqrt(math.fsum((v - mu) ** 2 for v in xs) / len(xs))
 
 

@@ -1,5 +1,9 @@
 """Result serialisation: raw rows, mean/sigma summaries, plot-ready files.
 
+Each column is declared once: ``RAW_COLUMNS`` (raw.csv, in order),
+``_derived`` (its derived columns), ``CONFIG_COLUMNS`` and ``SUMMARISED``
+(summary.csv).  The rows, summaries and verify follow from these tables,
+so a new column is one entry (a derived one also computes it in ``_derived``).
 Floats are written with repr precision so every derived column can be
 recomputed bit-exactly from the raw columns by the verify subcommand.
 Derived quantities are always computed per repetition first and only then
@@ -16,15 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import (
-    effective_bandwidth,
-    efficiency,
-    halo_sites,
-    mean,
-    speedup,
-    stddev,
-    updates_per_core,
-)
+from .metrics import (effective_bandwidth, efficiency, halo_bytes, mean, speedup, stddev,
+                      updates_per_core)
 
 # raw.csv's columns, in order, each with the type it reads back as
 RAW_COLUMNS = {
@@ -34,45 +31,40 @@ RAW_COLUMNS = {
     "B_eff_MBps": float, "updates_per_core": float,
 }
 
-SUMMARY_COLUMNS = [
-    "strategy", "Px", "Py", "Pz", "Lx", "Ly", "Lz", "m", "iterations", "repetitions",
-    "t_halo_mean_s", "t_halo_sigma_s", "t_step_mean_s", "t_step_sigma_s",
-    "B_eff_mean_MBps", "B_eff_sigma_MBps", "updates_mean", "updates_sigma",
-]
+# the columns that name a configuration; summary.csv has one row for each
+CONFIG_COLUMNS = ("strategy", "Px", "Py", "Pz", "Lx", "Ly", "Lz", "m", "iterations")
+
+# summarised raw column -> its (mean, sigma) columns in summary.csv
+SUMMARISED = {
+    "t_halo_total_s": ("t_halo_mean_s", "t_halo_sigma_s"),
+    "t_step_total_s": ("t_step_mean_s", "t_step_sigma_s"),
+    "B_eff_MBps": ("B_eff_mean_MBps", "B_eff_sigma_MBps"),
+    "updates_per_core": ("updates_mean", "updates_sigma"),
+}
+
+SUMMARY_COLUMNS = [*CONFIG_COLUMNS, "repetitions", *sum(SUMMARISED.values(), ())]
+
+# where a verify problem was found, from the row's columns
+_WHERE = "strategy={strategy} L=({Lx}, {Ly}, {Lz}) rep={rep}"
 
 
-def _derived(local_dims, m, iterations, t_halo_total):
-    t_exchange = t_halo_total / iterations
-    return (
-        effective_bandwidth(local_dims, m, t_exchange),
-        updates_per_core(local_dims, t_exchange),
-    )
+def _derived(row):
+    """raw.csv's derived columns, in order, computed from a row's measured ones."""
+    local = (row["Lx"], row["Ly"], row["Lz"])
+    t_exchange = row["t_halo_total_s"] / row["iterations"]
+    return {"B_eff_MBps": effective_bandwidth(local, row["m"], t_exchange),
+            "updates_per_core": updates_per_core(local, t_exchange)}
 
 
 def result_rows(record):
-    """Flatten a BenchRecord into one dict per repetition."""
-    px, py, pz = record.proc_dims
-    lx, ly, lz = record.local_dims
+    """Flatten a BenchRecord into one dict per repetition, in RAW_COLUMNS order."""
     rows = []
-    for rep in range(record.repetitions):
-        beff, updates = _derived(
-            record.local_dims, record.m, record.iterations, record.halo_times_s[rep]
-        )
-        rows.append({
-            "strategy": record.strategy,
-            "Px": px, "Py": py, "Pz": pz,
-            "Lx": lx, "Ly": ly, "Lz": lz,
-            "m": record.m,
-            "rep": rep,
-            "iterations": record.iterations,
-            "t_halo_total_s": record.halo_times_s[rep],
-            "t_step_total_s": record.step_times_s[rep],
-            "bytes_sent": record.bytes_sent[rep],
-            "messages_sent": record.messages_sent[rep],
-            "waits": record.waits[rep],
-            "B_eff_MBps": beff,
-            "updates_per_core": updates,
-        })
+    measured = zip(record.halo_times_s, record.step_times_s, record.bytes_sent,
+                   record.messages_sent, record.waits)
+    for rep, values in enumerate(measured):
+        row = dict(zip(RAW_COLUMNS, (record.strategy, *record.proc_dims, *record.local_dims,
+                                     record.m, rep, record.iterations, *values)))
+        rows.append(row | _derived(row))
     return rows
 
 
@@ -88,38 +80,41 @@ def write_csv(rows, path, columns):
 
 
 def read_raw_csv(path):
+    """raw.csv's rows, each cell parsed as its column's type; ValueError names
+    a header other than RAW_COLUMNS in order, or a cell that does not parse."""
     with open(path, newline="") as fh:
-        return [{key: parse(row[key]) for key, parse in RAW_COLUMNS.items()}
-                for row in csv.DictReader(fh)]
-
-
-def _group_key(row):
-    return (row["strategy"], row["Px"], row["Py"], row["Pz"],
-            row["Lx"], row["Ly"], row["Lz"], row["m"], row["iterations"])
+        reader = csv.reader(fh)
+        if next(reader, None) != list(RAW_COLUMNS):
+            raise ValueError(f"header is not raw.csv's {','.join(RAW_COLUMNS)}")
+        rows = []
+        for cells in filter(None, reader):
+            if len(cells) != len(RAW_COLUMNS):
+                raise ValueError(f"line {reader.line_num} has {len(cells)} cells, "
+                                 f"not {len(RAW_COLUMNS)}")
+            rows.append({})
+            for (column, parse), cell in zip(RAW_COLUMNS.items(), cells):
+                try:
+                    rows[-1][column] = parse(cell)
+                except ValueError:
+                    raise ValueError(f"line {reader.line_num}: {column} {cell!r} "
+                                     f"is not {parse.__name__}") from None
+        return rows
 
 
 def summarize(rows):
-    """Group repetitions and report mean and population sigma per quantity."""
+    """Group repetitions by configuration and report each summarised
+    column's mean and population sigma, in SUMMARY_COLUMNS order."""
     groups = {}
     for row in rows:
-        groups.setdefault(_group_key(row), []).append(row)
+        groups.setdefault(tuple(row[c] for c in CONFIG_COLUMNS), []).append(row)
     out = []
     for key in sorted(groups, key=str):
-        strategy, px, py, pz, lx, ly, lz, m, iterations = key
         members = groups[key]
-        halo = [r["t_halo_total_s"] for r in members]
-        step = [r["t_step_total_s"] for r in members]
-        beff = [r["B_eff_MBps"] for r in members]
-        updates = [r["updates_per_core"] for r in members]
-        out.append({
-            "strategy": strategy,
-            "Px": px, "Py": py, "Pz": pz, "Lx": lx, "Ly": ly, "Lz": lz,
-            "m": m, "iterations": iterations, "repetitions": len(members),
-            "t_halo_mean_s": mean(halo), "t_halo_sigma_s": stddev(halo),
-            "t_step_mean_s": mean(step), "t_step_sigma_s": stddev(step),
-            "B_eff_mean_MBps": mean(beff), "B_eff_sigma_MBps": stddev(beff),
-            "updates_mean": mean(updates), "updates_sigma": stddev(updates),
-        })
+        values = [*key, len(members)]
+        for column in SUMMARISED:
+            samples = [r[column] for r in members]
+            values += [mean(samples), stddev(samples)]
+        out.append(dict(zip(SUMMARY_COLUMNS, values)))
     return out
 
 
@@ -144,59 +139,39 @@ def emit_summary(rows, outdir, meta, mode="subdomain"):
     difference.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     summary = summarize(rows)
-    paths = {
-        "raw": write_csv(rows, outdir / "raw.csv", RAW_COLUMNS),
-        "summary": write_csv(summary, outdir / "summary.csv", SUMMARY_COLUMNS),
-        "meta": write_meta(meta, outdir / "meta.json"),
-    }
-    strategies = sorted({s["strategy"] for s in summary})
+    paths = {"raw": write_csv(rows, outdir / "raw.csv", RAW_COLUMNS),
+             "summary": write_csv(summary, outdir / "summary.csv", SUMMARY_COLUMNS),
+             "meta": write_meta(meta, outdir / "meta.json")}
+
+    def plot(name, pairs, header):
+        paths[name] = write_xy(outdir / f"{name}.dat", sorted(pairs), header)
+
     if mode == "subdomain":
-        for strategy in strategies:
+        for strategy in sorted({s["strategy"] for s in summary}):
             series = [s for s in summary if s["strategy"] == strategy]
-            msg = sorted(
-                (halo_sites((s["Lx"], s["Ly"], s["Lz"])) * 8 * s["m"] / 1e6,
-                 s["B_eff_mean_MBps"])
-                for s in series
-            )
-            sites = sorted(
-                (s["Lx"] * s["Ly"] * s["Lz"], s["updates_mean"]) for s in series
-            )
-            paths[f"beff_{strategy}"] = write_xy(
-                outdir / f"beff_vs_msgMB_{strategy}.dat", msg,
-                "message_MBytes  B_eff_MBps")
-            paths[f"updates_{strategy}"] = write_xy(
-                outdir / f"updates_vs_sites_{strategy}.dat", sites,
-                "interior_sites  updates_per_core")
+            plot(f"beff_vs_msgMB_{strategy}", [
+                (halo_bytes((s["Lx"], s["Ly"], s["Lz"]), s["m"]) / 1e6, s["B_eff_mean_MBps"])
+                for s in series], "message_MBytes  B_eff_MBps")
+            plot(f"updates_vs_sites_{strategy}",
+                 [(s["Lx"] * s["Ly"] * s["Lz"], s["updates_mean"]) for s in series],
+                 "interior_sites  updates_per_core")
     elif mode == "scaling":
         times = {}
         for s in summary:
-            p = s["Px"] * s["Py"] * s["Pz"]
-            times.setdefault(s["strategy"], {})[p] = s["t_halo_mean_s"]
-        base_strategy = "blocking" if "blocking" in times else strategies[0]
-        base_series = times[base_strategy]
-        base_p = min(base_series)
-        t_base = base_series[base_p]
+            times.setdefault(s["strategy"], {})[s["Px"] * s["Py"] * s["Pz"]] = s["t_halo_mean_s"]
+        # the common baseline: the base strategy's runtime at its fewest tasks
+        t_base = min(times["blocking" if "blocking" in times else min(times)].items())[1]
         for strategy, series in times.items():
-            runtime = sorted(series.items())
             s_common = speedup(series, t_base)
-            e_common = efficiency(s_common, base_p=min(series))
-            paths[f"runtime_{strategy}"] = write_xy(
-                outdir / f"runtime_vs_p_{strategy}.dat", runtime,
-                "tasks  t_halo_mean_s")
-            paths[f"speedup_{strategy}"] = write_xy(
-                outdir / f"speedup_vs_p_{strategy}.dat", sorted(s_common.items()),
-                "tasks  speedup_common_T1")
-            paths[f"efficiency_{strategy}"] = write_xy(
-                outdir / f"efficiency_vs_p_{strategy}.dat", sorted(e_common.items()),
-                "tasks  efficiency")
+            plot(f"runtime_vs_p_{strategy}", series.items(), "tasks  t_halo_mean_s")
+            plot(f"speedup_vs_p_{strategy}", s_common.items(), "tasks  speedup_common_T1")
+            plot(f"efficiency_vs_p_{strategy}", efficiency(s_common, base_p=min(series)).items(),
+                 "tasks  efficiency")
         if "blocking" in times and "nonblocking" in times:
-            shared = sorted(set(times["blocking"]) & set(times["nonblocking"]))
-            diff = [(p, times["nonblocking"][p] - times["blocking"][p]) for p in shared]
-            paths["runtime_diff"] = write_xy(
-                outdir / "runtime_diff_vs_p.dat", diff,
-                "tasks  t_nonblocking_minus_blocking_s")
+            shared = set(times["blocking"]) & set(times["nonblocking"])
+            plot("runtime_diff_vs_p", [(p, times["nonblocking"][p] - times["blocking"][p])
+                                       for p in shared], "tasks  t_nonblocking_minus_blocking_s")
     else:
         raise ValueError(f"unknown emit mode {mode!r}")
     return paths
@@ -218,15 +193,18 @@ def verify_raw_csv(path):
     """Recompute the derived columns of a raw file; list any mismatches.
 
     The recomputation must agree bit-for-bit with the stored values, which
-    holds because floats round-trip through repr.
-    """
+    holds because floats round-trip through repr.  A file that is not a
+    raw.csv, or has no rows, is one problem."""
+    try:
+        rows = read_raw_csv(path)
+    except (ValueError, csv.Error) as exc:
+        return [f"{path}: {exc}"]
+    if not rows:
+        return [f"{path}: no rows"]
     problems = []
-    for row in read_raw_csv(path):
-        local = (row["Lx"], row["Ly"], row["Lz"])
-        beff, updates = _derived(local, row["m"], row["iterations"], row["t_halo_total_s"])
-        where = f"strategy={row['strategy']} L={local} rep={row['rep']}"
-        if beff != row["B_eff_MBps"]:
-            problems.append(f"{where}: B_eff_MBps stored {row['B_eff_MBps']!r} != recomputed {beff!r}")
-        if updates != row["updates_per_core"]:
-            problems.append(f"{where}: updates_per_core stored {row['updates_per_core']!r} != recomputed {updates!r}")
+    for row in rows:
+        for column, value in _derived(row).items():
+            if value != row[column]:
+                problems.append(f"{_WHERE.format(**row)}: {column} stored "
+                                f"{row[column]!r} != recomputed {value!r}")
     return problems

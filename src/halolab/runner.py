@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from . import lattice
-from .errors import TransportAborted, TransportDeadlock
+from .errors import ConfigurationError, TransportAborted, TransportDeadlock
 from .halo import STRATEGIES, HaloBuffers
 from .metrics import BenchRecord
 from .overlap import synthetic_workload
@@ -391,7 +391,9 @@ def run_physics(cfg, strategy, steps):
 
 def run_regression(cfg, steps):
     """Run both strategies from one seeded state; fields must agree to 1e-12."""
-    cfg.validate()
+    if steps < 0:
+        raise ConfigurationError(f"steps cannot be negative, got {steps}")
+    cfg = replace(cfg, physics="full").validate()
     blocking = run_physics(cfg, "blocking", steps)
     nonblocking = run_physics(cfg, "nonblocking", steps)
     max_delta = 0.0

@@ -344,6 +344,15 @@ class TestRegression:
             rng = np.random.default_rng([cfg.seed, rank])
             assert np.array_equal(data, random_state((3, 3, 3), D3Q19, rng).data)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ConfigurationError, match="steps cannot be negative"):
+            run_regression(small_cfg(physics="full"), steps=-3)
+
+    def test_validates_the_full_physics_run(self):
+        # physics=none validates with any m; the regression's own full run does not
+        with pytest.raises(ConfigurationError, match="canonical velocity set"):
+            run_regression(small_cfg(m=5), steps=1)
+
     def test_seeded_runs_are_deterministic(self):
         cfg = small_cfg(proc_dims=(2, 1, 1), local_dims=(4, 4, 4), physics="full")
         a = run_physics(cfg, "nonblocking", steps=5)
@@ -359,7 +368,8 @@ class TestReporting:
 
     def test_row_schema(self):
         rows = self._rows()
-        assert [set(r) == set(RAW_COLUMNS) for r in rows]
+        for r in rows:
+            assert list(r) == list(RAW_COLUMNS)
         assert rows[0]["rep"] == 0 and rows[1]["rep"] == 1
 
     def test_summary_sigma_of_equal_times_is_zero(self):
@@ -403,6 +413,16 @@ class TestReporting:
         path = write_csv(rows, tmp_path / "raw.csv", RAW_COLUMNS)
         problems = verify_raw_csv(path)
         assert problems and "B_eff_MBps" in problems[0]
+
+    def test_csv_headers(self, tmp_path):
+        emit_summary(self._rows(), tmp_path, {})
+        assert (tmp_path / "raw.csv").read_text().splitlines()[0] == (
+            "strategy,Px,Py,Pz,Lx,Ly,Lz,m,rep,iterations,t_halo_total_s,t_step_total_s,"
+            "bytes_sent,messages_sent,waits,B_eff_MBps,updates_per_core")
+        assert (tmp_path / "summary.csv").read_text().splitlines()[0] == (
+            "strategy,Px,Py,Pz,Lx,Ly,Lz,m,iterations,repetitions,t_halo_mean_s,"
+            "t_halo_sigma_s,t_step_mean_s,t_step_sigma_s,B_eff_mean_MBps,B_eff_sigma_MBps,"
+            "updates_mean,updates_sigma")
 
     def test_emit_summary_subdomain(self, tmp_path):
         rows = self._rows()
@@ -511,6 +531,42 @@ class TestCli:
         rows[0]["updates_per_core"] += 1.0
         path = write_csv(rows, tmp_path / "raw.csv", RAW_COLUMNS)
         assert main(["verify", "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda text: "a,b\n", "header is not raw.csv's"),
+        (lambda text: "a,b\n1,2\n", "header is not raw.csv's"),
+        (lambda text: text.splitlines(keepends=True)[0], "no rows"),
+        (lambda text: text.replace(",19,", ",x,", 1), "line 2: m 'x' is not int"),
+        (lambda text: text.rstrip("\n") + ",7\n", "line 2 has 18 cells, not 17"),
+    ], ids=["other-header-only", "other-columns", "no-rows", "bad-cell", "extra-cell"])
+    def test_verify_rejects_files_that_are_not_raw_csv(self, edit, problem, tmp_path, capsys):
+        record, _ = run_benchmark(small_cfg(repetitions=1))
+        path = write_csv(result_rows(record), tmp_path / "raw.csv", RAW_COLUMNS)
+        path.write_text(edit(path.read_text()))
+        assert main(["verify", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert problem in out and "verify FAILED" in out
+
+    def test_verify_missing_input_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--input", str(tmp_path / "missing.csv")]) == 2
+        assert "configuration error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pingpong", "--sizes", "4"],
+        ["pingpong", "--sizes", "1k"],
+        ["model", "--bandwidth-mbps", "0"],
+        ["model", "--latency-us", "-1"],
+        ["model", "--L", "0"],
+        ["model", "--m", "0"],
+        ["model", "--m", "28"],
+        ["regression", "--proc-dims", "1,1,1", "--local-dims", "4,4,4", "--steps", "-3"],
+    ], ids=["size-4", "size-1k", "bandwidth-0", "latency-neg", "L-0", "m-0", "m-28",
+            "steps-neg"])
+    def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "b2"
