@@ -107,9 +107,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_test_halo(args):
-    cfg = _config_from_args(args)
-    strategies = tuple(STRATEGIES) if args.strategies == "both" else (args.strategies,)
-    report = run_test_halo(cfg, strategies=strategies)
+    report = run_test_halo(_config_from_args(args))
     print(report.describe())
     return 0 if report.passed else 1
 
@@ -209,9 +207,8 @@ def build_parser():
     p.add_argument("values", nargs="+", metavar="VALUE", help="one value per sweep point")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("test-halo", help="boundary-value halo correctness test")
+    p = sub.add_parser("test-halo", help="halo exchange correctness test, both strategies")
     _add_config_arguments(p)
-    p.add_argument("--strategies", choices=(*STRATEGIES, "both"), default="both")
     p.set_defaults(func=_cmd_test_halo)
 
     p = sub.add_parser("regression", help="full-physics agreement of both strategies")

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigurationError
 from .halo import STRATEGIES
 from .topology import decompose
+from .transport import TransportModel
 
 PHYSICS_MODES = ("none", "full")
 
@@ -97,11 +98,18 @@ class RunConfig:
             raise ConfigurationError(
                 "transport model needs both latency_us and bandwidth_MBps"
             )
-        if self.model_latency_us is not None:
-            if self.model_latency_us < 0 or not self.model_bandwidth_MBps > 0:
-                raise ConfigurationError("bad transport model parameters")
+        self.transport_model()
         self.resolve_dims()
         return self
+
+    def transport_model(self):
+        """The injected cost model, or None when none is set."""
+        if self.model_latency_us is None:
+            return None
+        try:
+            return TransportModel(self.model_latency_us * 1e-6, self.model_bandwidth_MBps)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad transport model: {exc}") from None
 
     def resolve_dims(self):
         """(proc_dims, local_dims, global_dims) with divisibility enforced."""

@@ -127,8 +127,9 @@ class BenchRecord:
     """One benchmark configuration's observations across repetitions.
 
     halo_times_s holds the per-repetition wall time of ``iterations``
-    exchange calls on the slowest rank; step_times_s the barrier-to-barrier
-    wall time of the whole timed loop.
+    exchange calls (start to end, with any overlapped work) on the slowest
+    rank; step_times_s the barrier-to-barrier wall time of the whole timed
+    loop.
     """
 
     strategy: str
@@ -141,7 +142,6 @@ class BenchRecord:
     bytes_sent: list
     messages_sent: list
     waits: list
-    timing_scope: str = "halo_only"
 
     def __post_init__(self):
         if self.repetitions < 1:

@@ -194,7 +194,9 @@ def verify_raw_csv(path):
 
     The recomputation must agree bit-for-bit with the stored values, which
     holds because floats round-trip through repr.  A file that is not a
-    raw.csv, or has no rows, is one problem."""
+    raw.csv, or has no rows, is one problem; so is a row whose derived
+    columns cannot be recomputed (zero iterations, a time that is not
+    positive)."""
     try:
         rows = read_raw_csv(path)
     except (ValueError, csv.Error) as exc:
@@ -203,7 +205,13 @@ def verify_raw_csv(path):
         return [f"{path}: no rows"]
     problems = []
     for row in rows:
-        for column, value in _derived(row).items():
+        try:
+            derived = _derived(row)
+        except (ValueError, ZeroDivisionError) as exc:
+            problems.append(f"{_WHERE.format(**row)}: derived columns cannot be "
+                            f"recomputed: {exc}")
+            continue
+        for column, value in derived.items():
             if value != row[column]:
                 problems.append(f"{_WHERE.format(**row)}: {column} stored "
                                 f"{row[column]!r} != recomputed {value!r}")

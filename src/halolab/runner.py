@@ -1,6 +1,7 @@
 """Rank orchestration: spawn one thread per subdomain and run the harnesses
 (benchmark, test-halo, regression, ping-pong).  The first three run one
-rank loop, ``_bench_body``, so the halos checked are those of the loop timed.
+rank loop, ``_bench_body``, from one field maker, ``_rank_fields``, so
+test-halo checks the exchange of the seeded fields that the benchmark times.
 
 Ranks are threads on one machine, so configurations beyond the hardware
 parallelism run fine for correctness work but their timings are flagged
@@ -19,10 +20,10 @@ import numpy as np
 from . import lattice
 from .errors import ConfigurationError, TransportAborted, TransportDeadlock
 from .halo import STRATEGIES, HaloBuffers
-from .metrics import BenchRecord
+from .metrics import BenchRecord, halo_sites
 from .overlap import synthetic_workload
 from .topology import CartesianTopology
-from .transport import Fabric, TransportModel
+from .transport import Fabric
 
 
 @dataclass
@@ -132,22 +133,17 @@ def _lb_step(field, spare, vs, tau):
     return spare, field
 
 
-def _timing_scope(cfg):
-    """Whole-step timing when work is attached: it belongs inside the span."""
-    return "whole_step" if cfg.overlap_enabled or cfg.overlap_intensity > 0 else "halo_only"
-
-
 def _bench_body(cfg, topo, vs, fields):
     """The rank loop of every harness.  Rank r takes over ``fields[r]``,
     leaves its final field there after the last barrier and returns (halo
-    seconds, step seconds, counters) of its timed steps."""
+    seconds, step seconds, counters) of its timed steps: the halo seconds
+    sum the start-to-end windows, the step seconds span the whole loop."""
     start, end = STRATEGIES[cfg.strategy]
     # work runs only at a nonzero intensity; overlap_enabled decides whether
     # it runs inside the start/end window or serially after the exchange
     intensity = cfg.overlap_intensity
     overlapped = intensity > 0 and cfg.overlap_enabled
     serial = intensity > 0 and not cfg.overlap_enabled
-    whole_step = _timing_scope(cfg) == "whole_step"
 
     def body(ctx):
         # the list lets go, so the spare is freed when the rank ends
@@ -170,31 +166,28 @@ def _bench_body(cfg, topo, vs, fields):
                 synthetic_workload(field, intensity)
             if vs is not None:
                 field, alt = _lb_step(field, alt, vs, cfg.tau)
-        t_halo = perf_counter() - t0 if whole_step else halo_s
         ctx.barrier.wait()
         fields[ctx.rank] = field
-        return t_halo, perf_counter() - t0, buffers.counters.snapshot()
+        return halo_s, perf_counter() - t0, buffers.counters.snapshot()
 
     return body
 
 
-def _launch(cfg, make_fields=_rank_fields):
-    """Run ``_bench_body`` once on every rank, rank r starting from
-    ``make_fields(cfg, local_dims, r, vs)``; returns (topology, results, final fields)."""
+def _launch(cfg):
+    """Run ``_bench_body`` once on every rank, rank r starting from its
+    seeded ``_rank_fields``; returns (topology, results, final fields)."""
     proc, local, _ = cfg.resolve_dims()
     topo = CartesianTopology(proc, periodic=cfg.periodic)
     vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
-    model = None if cfg.model_latency_us is None else TransportModel(
-        cfg.model_latency_us * 1e-6, cfg.model_bandwidth_MBps)
     # Fields are made here, not on the rank threads, which live for one
     # run: glibc's arena of a finished rank thread kept the freed fields
     # resident, and a run whose rank thread was given another arena made a
     # second set on top (the peak RSS of a process repeating one-rank L=32
     # runs read ~57 MB or, in some processes, ~74 MB).  Made by this
     # thread, they are freed into one arena.
-    fields = [make_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
+    fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
     outs = run_ranks(topo.nranks, _bench_body(cfg, topo, vs, fields),
-                     watchdog_seconds=cfg.watchdog_seconds, model=model)
+                     watchdog_seconds=cfg.watchdog_seconds, model=cfg.transport_model())
     return topo, outs, fields
 
 
@@ -227,42 +220,13 @@ def run_benchmark(cfg):
         bytes_sent=bytes_sent,
         messages_sent=messages,
         waits=waits,
-        timing_scope=_timing_scope(cfg),
     )
     meta = cfg.meta()
-    meta["timing_scope"] = record.timing_scope
     meta["oversubscribed"] = topo.nranks > (os.cpu_count() or 1)
     return record, meta
 
 
 # -- test_halo ------------------------------------------------------------
-
-
-def encode_boundary_value(rank, site, i, local_dims):
-    """Distinct nonzero value for component i of a boundary site on a rank.
-
-    Broadcasts: ``rank``, the three site coordinates and ``i`` may be
-    integer arrays.
-    """
-    lx, ly, lz = local_dims
-    x, y, z = site
-    code = ((rank * (lx + 2) + x) * (ly + 2) + y) * (lz + 2) + z
-    return np.asarray(code * 32 + i + 1, dtype=np.float64)
-
-
-def make_pattern_field(local_dims, m, rank):
-    """Zero field with every interior boundary site set to its encoded values."""
-    lx, ly, lz = local_dims
-    field = lattice.DistributionField(local_dims, m)
-    xs = np.arange(1, lx + 1)[:, None, None, None]
-    ys = np.arange(1, ly + 1)[None, :, None, None]
-    zs = np.arange(1, lz + 1)[None, None, :, None]
-    values = encode_boundary_value(rank, (xs, ys, zs), np.arange(m), local_dims)
-    boundary = (
-        (xs == 1) | (xs == lx) | (ys == 1) | (ys == ly) | (zs == 1) | (zs == lz)
-    )
-    field.interior()[...] = np.where(boundary, values, 0.0)
-    return field
 
 
 @dataclass
@@ -300,62 +264,60 @@ class HaloTestReport:
         )
 
 
-def verify_halo_pattern(data, topo, rank, local_dims, m, strategy):
-    """Check every halo site against the independently computed neighbour value.
+def halo_oracle(cfg):
+    """Each rank's data after one correct exchange of its seeded
+    ``physics=none`` field, built without the exchange: the seeded interiors
+    are assembled into the global lattice, which is padded by one site per
+    axis (wrapped on a periodic axis, zeros on an open one) and cut into
+    the ranks' boxes, halo included."""
+    proc, local, global_ = cfg.resolve_dims()
+    topo = CartesianTopology(proc, periodic=cfg.periodic)
+    # each rank's first interior site on the global lattice, which is also
+    # its first halo site on the padded one
+    origins = [[c * n for c, n in zip(topo.cart_coords(r), local)] for r in range(topo.nranks)]
+    whole = np.empty((*global_, cfg.m))
+    for rank, origin in enumerate(origins):
+        box = tuple(slice(o, o + n) for o, n in zip(origin, local))
+        whole[box] = _rank_fields(cfg, local, rank, None)[0].interior()
+    for axis, periodic in enumerate(topo.periodic):
+        width = [(0, 0)] * 4
+        width[axis] = (1, 1)
+        whole = np.pad(whole, width, mode="wrap" if periodic else "constant")
+    return [whole[tuple(slice(o, o + n + 2) for o, n in zip(origin, local))]
+            for origin in origins]
 
-    Expected values come straight from coordinate arithmetic on the rank
-    grid, not from any exchange machinery.  Halo sites across an open
-    boundary must still hold their initial zeros.  Returns the number of
-    halo sites checked and one ``HaloMismatch`` per wrong site, in
-    ascending (x, y, z) order, naming its first wrong component.
-    """
-    # per axis, for every padded index: owner's grid coordinate, site on
-    # the owner, and whether the site exists (it does not past an open edge)
-    owner, local, present = [], [], []
-    for a, (c, n, L, per) in enumerate(zip(topo.cart_coords(rank), topo.dims,
-                                          local_dims, topo.periodic)):
-        g = c * L + np.arange(-1, L + 1)
-        if per:
-            g %= n * L
-        shape = [1, 1, 1, 1]
-        shape[a] = L + 2
-        owner.append((g // L).reshape(shape))
-        local.append((g % L + 1).reshape(shape))
-        present.append(((0 <= g) & (g < n * L)).reshape(shape))
-    owner_rank = topo.row_major_rank(*owner)
-    values = encode_boundary_value(owner_rank, local, np.arange(m), local_dims)
-    expected = np.where(present[0] & present[1] & present[2], values, 0.0)
-    halo = np.ones(data.shape[:3], dtype=bool)
-    halo[1:-1, 1:-1, 1:-1] = False
+
+def find_mismatches(data, expected, rank, strategy):
+    """One ``HaloMismatch`` per site, halo or interior, where ``data``
+    differs from ``expected``, in ascending (x, y, z) order, naming the
+    site's first wrong component."""
     wrong = data != expected
     failures = []
-    for x, y, z in np.argwhere(halo & wrong.any(axis=-1)).tolist():
+    for x, y, z in np.argwhere(wrong.any(axis=-1)).tolist():
         i = int(np.argmax(wrong[x, y, z]))
         failures.append(HaloMismatch(
             strategy, rank, (x, y, z), i,
             float(expected[x, y, z, i]), float(data[x, y, z, i]),
         ))
-    return int(halo.sum()), failures
+    return failures
 
 
-def run_test_halo(cfg, strategies=tuple(STRATEGIES)):
-    """Unit test of the exchange itself: encoded boundary values must land
-    on exactly the right halo sites of every neighbour.  Runs one step of
-    the benchmark loop per strategy, with no physics, work or cost model."""
+def run_test_halo(cfg):
+    """Unit test of the exchange itself: after one step of the benchmark
+    loop per strategy, with no physics, work or cost model, every value of
+    every rank's seeded field, halo and interior alike, must equal
+    ``halo_oracle``'s.  The report counts the halo sites checked."""
     cfg.validate()
-    checked_total = 0
+    cfg = replace(cfg, physics="none", iterations=1, warmup=0, overlap_intensity=0,
+                  model_latency_us=None, model_bandwidth_MBps=None)
+    expected = halo_oracle(cfg)
+    checked = 0
     failures = []
-    for strategy in strategies:
-        run = replace(cfg, strategy=strategy, physics="none", iterations=1, warmup=0,
-                      overlap_intensity=0, model_latency_us=None)
-        topo, _, fields = _launch(
-            run, lambda cfg, local, rank, vs: (make_pattern_field(local, cfg.m, rank), None))
-        for rank, field in enumerate(fields):
-            checked, bad = verify_halo_pattern(
-                field.data, topo, rank, field.local_dims, cfg.m, strategy)
-            checked_total += checked
-            failures.extend(bad)
-    return HaloTestReport(checked_total, failures)
+    for strategy in STRATEGIES:
+        for rank, field in enumerate(_launch(replace(cfg, strategy=strategy))[2]):
+            checked += halo_sites(field.local_dims)
+            failures.extend(find_mismatches(field.data, expected[rank], rank, strategy))
+    return HaloTestReport(checked, failures)
 
 
 # -- regression ------------------------------------------------------------

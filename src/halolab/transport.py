@@ -77,7 +77,7 @@ class TransportModel:
     bandwidth_MBps: float
 
     def __post_init__(self):
-        if self.latency_s < 0.0:
+        if not self.latency_s >= 0.0:
             raise ValueError("latency must be non-negative")
         if not self.bandwidth_MBps > 0.0:
             raise ValueError("bandwidth must be positive")

@@ -100,7 +100,7 @@ def test_criterion_2_test_halo_suite():
             checked += report.checked_sites
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    _pass(2, f"boundary-value exchange exact on all topologies, both "
+    _pass(2, f"seeded-field exchange exact on all topologies, both "
              f"strategies, periodic and open ({checked} halo sites, {elapsed:.1f}s)")
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from halolab import runner
 from halolab.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from halolab.config import SETTINGS, RunConfig, build_config, parse_dims
 from halolab.errors import ConfigurationError
-from halolab.lattice import D3Q19, random_state
+from halolab.halo import STRATEGIES, HaloBuffers, exchange
+from halolab.lattice import D3Q19, DistributionField, random_state
 from halolab.metrics import halo_sites
 from halolab.reporting import (
     RAW_COLUMNS,
@@ -21,12 +23,14 @@ from halolab.reporting import (
     write_csv,
 )
 from halolab.runner import (
-    make_pattern_field,
+    HaloMismatch,
+    find_mismatches,
+    halo_oracle,
     run_benchmark,
     run_physics,
+    run_ranks,
     run_regression,
     run_test_halo,
-    verify_halo_pattern,
 )
 from halolab.topology import CartesianTopology
 
@@ -93,6 +97,11 @@ class TestConfig:
     def test_model_needs_both_parameters(self):
         cfg = small_cfg(model_latency_us=10.0)
         with pytest.raises(ConfigurationError):
+            cfg.validate()
+
+    def test_nan_model_latency_rejected(self):
+        cfg = small_cfg(model_latency_us=float("nan"), model_bandwidth_MBps=100.0)
+        with pytest.raises(ConfigurationError, match="latency must be non-negative"):
             cfg.validate()
 
     def test_config_file_and_overrides(self, tmp_path):
@@ -178,31 +187,36 @@ class TestRunBenchmark:
     def test_meta_records_tau_and_scope(self, tmp_path):
         record, meta = run_benchmark(small_cfg())
         assert meta["tau"] == 1.0
-        assert meta["timing_scope"] == "halo_only"
         assert meta["warmup"] == 1
         assert "oversubscribed" in meta
         emit_summary(result_rows(record), tmp_path, meta)
         written = json.loads((tmp_path / "meta.json").read_text())
-        assert written["timing_scope"] == "halo_only"
         host = written["host"]
         assert host["python"] == platform.python_version()
         assert host["numpy"] == np.__version__
         assert host["nproc"] == len(os.sched_getaffinity(0))
         assert host["platform"] == platform.platform()
 
-    def test_overlap_mode_switches_scope(self):
-        cfg = small_cfg(strategy="nonblocking", overlap_enabled=True,
-                        overlap_intensity=2)
-        record, meta = run_benchmark(cfg)
-        assert record.timing_scope == "whole_step"
-        assert meta["timing_scope"] == "whole_step"
+    def test_overlap_mode_switches_scope(self, monkeypatch):
+        # t_halo sums the start-to-end windows: overlapped work falls inside
+        # them, serial work outside, and the step time spans both
+        work_s = 0.02
+        monkeypatch.setattr(runner, "synthetic_workload", lambda field, n: time.sleep(work_s))
+        for enabled in (True, False):
+            cfg = small_cfg(strategy="nonblocking", overlap_enabled=enabled,
+                            overlap_intensity=2, iterations=3, repetitions=1)
+            record, _ = run_benchmark(cfg)
+            (t_halo,), (t_step,) = record.halo_times_s, record.step_times_s
+            if enabled:
+                assert t_halo >= cfg.iterations * work_s
+            else:
+                assert t_halo < cfg.iterations * work_s <= t_step
 
     def test_work_runs_only_at_nonzero_intensity(self, monkeypatch):
         calls = []
         monkeypatch.setattr(runner, "synthetic_workload", lambda field, n: calls.append(n))
-        for enabled, scope in ((True, "whole_step"), (False, "halo_only")):
-            cfg = small_cfg(strategy="nonblocking", overlap_enabled=enabled)
-            assert run_benchmark(cfg)[0].timing_scope == scope
+        for enabled in (True, False):
+            run_benchmark(small_cfg(strategy="nonblocking", overlap_enabled=enabled))
         assert calls == []
         run_benchmark(small_cfg(strategy="nonblocking", overlap_intensity=3))
         assert calls == [3] * 2 * (1 + 4) * 2  # ranks, warm-up and timed steps, repetitions
@@ -214,20 +228,39 @@ class TestRunBenchmark:
 
 
 
-def _loop_verify(data, topo, rank, local_dims, m, strategy):
-    """Site-by-site halo check, the reference for ``verify_halo_pattern``."""
-    from halolab.runner import HaloMismatch
+def _seeded_interiors(cfg, nranks):
+    """The interiors test-halo's fields are seeded with, regenerated."""
+    shape = (*cfg.local_dims, cfg.m)
+    return [np.random.default_rng([cfg.seed, rank]).uniform(0.5, 1.5, size=shape)
+            for rank in range(nranks)]
 
-    lx, ly, lz = local_dims
+
+def _exchanged(topo, seeded, strategy):
+    """Every rank's data after one exchange of its seeded interior."""
+    def body(ctx):
+        field = DistributionField(seeded[ctx.rank].shape[:3], seeded[ctx.rank].shape[3])
+        field.interior()[...] = seeded[ctx.rank]
+        exchange(field, topo, HaloBuffers(topo, ctx.rank, field.local_dims, field.m,
+                                          ctx.endpoint), strategy)
+        return field.data.copy()
+
+    return run_ranks(topo.nranks, body, watchdog_seconds=5.0)
+
+
+def _loop_verify(data, seeded, topo, rank, strategy):
+    """Site-by-site check of one rank's data against the seeded interiors,
+    the reference for ``halo_oracle`` and ``find_mismatches``: (halo sites,
+    mismatches)."""
+    lx, ly, lz, m = seeded[rank].shape
+    local_dims = (lx, ly, lz)
     coords = topo.cart_coords(rank)
     failures = []
     checked = 0
     for x in range(lx + 2):
         for y in range(ly + 2):
             for z in range(lz + 2):
-                if 1 <= x <= lx and 1 <= y <= ly and 1 <= z <= lz:
-                    continue
-                checked += 1
+                if not (1 <= x <= lx and 1 <= y <= ly and 1 <= z <= lz):
+                    checked += 1
                 owner_coords, local_site = [], []
                 for c, h, n, L, per in zip(coords, (x, y, z), topo.dims, local_dims,
                                            topo.periodic):
@@ -237,14 +270,12 @@ def _loop_verify(data, topo, rank, local_dims, m, strategy):
                     elif not 0 <= g < n * L:
                         break
                     owner_coords.append(g // L)
-                    local_site.append(g % L + 1)
+                    local_site.append(g % L)
                 if len(local_site) < 3:
                     expected = np.zeros(m)
                 else:
                     sx, sy, sz = local_site
-                    owner = topo.row_major_rank(*owner_coords)
-                    code = ((owner * (lx + 2) + sx) * (ly + 2) + sy) * (lz + 2) + sz
-                    expected = np.array([float(code * 32 + i + 1) for i in range(m)])
+                    expected = seeded[topo.row_major_rank(*owner_coords)][sx, sy, sz]
                 got = data[x, y, z, :]
                 if not np.array_equal(got, expected):
                     bad = int(np.nonzero(got != expected)[0][0])
@@ -259,66 +290,64 @@ class TestTestHalo:
         cfg = small_cfg(proc_dims=proc, local_dims=(3, 2, 4), m=5)
         report = run_test_halo(cfg)
         assert report.passed
-        assert report.checked_sites > 0
+        nranks = proc[0] * proc[1] * proc[2]
+        assert report.checked_sites == len(STRATEGIES) * nranks * halo_sites((3, 2, 4))
 
     def test_fault_injection_reports_site(self):
         # corrupt one halo value after a correct exchange; the verifier
         # must name exactly that site
+        cfg = small_cfg(proc_dims=(1, 1, 1), local_dims=(3, 3, 3), m=4)
         topo = CartesianTopology((1, 1, 1))
-        local, m = (3, 3, 3), 4
-        field = make_pattern_field(local, m, 0)
-        from halolab.halo import HaloBuffers, exchange
-        from halolab.runner import run_ranks
-
-        def body(ctx):
-            buffers = HaloBuffers(topo, 0, local, m, ctx.endpoint)
-            exchange(field, topo, buffers, "blocking")
-            return field.data.copy()
-
-        data = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        checked, clean = verify_halo_pattern(data, topo, 0, local, m, "blocking")
-        assert not clean
+        (data,) = _exchanged(topo, _seeded_interiors(cfg, 1), "blocking")
+        (expected,) = halo_oracle(cfg)
+        assert find_mismatches(data, expected, 0, "blocking") == []
         data[0, 2, 2, 1] += 5.0
-        checked, failures = verify_halo_pattern(data, topo, 0, local, m, "blocking")
+        failures = find_mismatches(data, expected, 0, "blocking")
         assert len(failures) == 1
         f = failures[0]
         assert f.site == (0, 2, 2) and f.component == 1
         assert f.got == f.expected + 5.0
 
+    def test_interior_write_fails(self, monkeypatch):
+        # an exchange that writes into the interior breaks the seeded
+        # values the oracle expects, though every halo value is right
+        start, end = STRATEGIES["nonblocking"]
+
+        def end_then_write(token, field, buffers):
+            end(token, field, buffers)
+            field.interior()[0, 1, 0, 2] += 1.0
+
+        monkeypatch.setitem(STRATEGIES, "nonblocking", (start, end_then_write))
+        report = run_test_halo(small_cfg(proc_dims=(2, 1, 1), local_dims=(3, 3, 3), m=4))
+        assert not report.passed
+        assert {(f.strategy, f.site, f.component) for f in report.failures} == {
+            ("nonblocking", (1, 2, 1), 2)}
+
     @pytest.mark.parametrize("proc, periodic", [
         ((1, 1, 1), True), ((2, 2, 1), False), ((2, 1, 2), True),
     ])
     def test_matches_site_by_site_reference(self, proc, periodic):
-        # the vectorised verifier reports exactly what a loop over the halo
-        # sites reports: count, sites in order, first wrong component, values
-        from halolab.halo import HaloBuffers, exchange
-        from halolab.runner import run_ranks
-
+        # the vectorised oracle and verifier report exactly what a loop over
+        # the sites reports: sites in order, first wrong component, values
+        cfg = small_cfg(proc_dims=proc, local_dims=(3, 2, 4), m=5, periodic=periodic)
         topo = CartesianTopology(proc, periodic=periodic)
-        local, m = (3, 2, 4), 5
-
-        def body(ctx):
-            field = make_pattern_field(local, m, ctx.rank)
-            exchange(field, topo, HaloBuffers(topo, ctx.rank, local, m, ctx.endpoint),
-                     "nonblocking")
-            return field.data.copy()
-
-        datas = run_ranks(topo.nranks, body, watchdog_seconds=5.0)
+        seeded = _seeded_interiors(cfg, topo.nranks)
+        expected = halo_oracle(cfg)
         rng = np.random.default_rng(8)
-        for rank, data in enumerate(datas):
-            assert verify_halo_pattern(data, topo, rank, local, m, "nonblocking") == (
-                _loop_verify(data, topo, rank, local, m, "nonblocking"))
+        for rank, data in enumerate(_exchanged(topo, seeded, "nonblocking")):
+            assert (halo_sites((3, 2, 4)), find_mismatches(
+                data, expected[rank], rank, "nonblocking")) == (
+                _loop_verify(data, seeded, topo, rank, "nonblocking"))
             for _ in range(6):
-                x, y, z = (int(rng.integers(0, n + 2)) for n in local)
-                data[x, y, z, int(rng.integers(0, m))] = rng.choice([np.nan, -1.0, 0.0])
+                x, y, z = (int(rng.integers(0, n + 2)) for n in (3, 2, 4))
+                data[x, y, z, int(rng.integers(0, 5))] = rng.choice([np.nan, -1.0, 0.0])
             data[-1, 0, 0, 2:] += 1.0
-            got = verify_halo_pattern(data, topo, rank, local, m, "nonblocking")
-            assert repr(got) == repr(_loop_verify(data, topo, rank, local, m, "nonblocking"))
-            assert got[1]
+            got = find_mismatches(data, expected[rank], rank, "nonblocking")
+            assert repr(got) == repr(_loop_verify(data, seeded, topo, rank, "nonblocking")[1])
+            assert got
 
     def test_report_describes_failure(self):
-        topo = CartesianTopology((1, 1, 1))
-        from halolab.runner import HaloMismatch, HaloTestReport
+        from halolab.runner import HaloTestReport
 
         report = HaloTestReport(10, [HaloMismatch("blocking", 0, (0, 0, 0), 2, 1.0, 3.0)])
         assert not report.passed
@@ -538,7 +567,12 @@ class TestCli:
         (lambda text: text.splitlines(keepends=True)[0], "no rows"),
         (lambda text: text.replace(",19,", ",x,", 1), "line 2: m 'x' is not int"),
         (lambda text: text.rstrip("\n") + ",7\n", "line 2 has 18 cells, not 17"),
-    ], ids=["other-header-only", "other-columns", "no-rows", "bad-cell", "extra-cell"])
+        (lambda text: _set_cell(text, "iterations", "0"),
+         "strategy=blocking L=(3, 3, 3) rep=0: derived columns cannot be recomputed"),
+        (lambda text: _set_cell(text, "t_halo_total_s", "0.0"),
+         "strategy=blocking L=(3, 3, 3) rep=0: derived columns cannot be recomputed"),
+    ], ids=["other-header-only", "other-columns", "no-rows", "bad-cell", "extra-cell",
+            "zero-iterations", "zero-halo-time"])
     def test_verify_rejects_files_that_are_not_raw_csv(self, edit, problem, tmp_path, capsys):
         record, _ = run_benchmark(small_cfg(repetitions=1))
         path = write_csv(result_rows(record), tmp_path / "raw.csv", RAW_COLUMNS)
@@ -546,6 +580,7 @@ class TestCli:
         assert main(["verify", "--input", str(path)]) == 1
         out = capsys.readouterr().out
         assert problem in out and "verify FAILED" in out
+        assert "verify FAILED: 1 problem(s)" in out
 
     def test_verify_missing_input_is_config_error(self, tmp_path, capsys):
         assert main(["verify", "--input", str(tmp_path / "missing.csv")]) == 2
@@ -556,12 +591,13 @@ class TestCli:
         ["pingpong", "--sizes", "1k"],
         ["model", "--bandwidth-mbps", "0"],
         ["model", "--latency-us", "-1"],
+        ["model", "--latency-us", "nan"],
         ["model", "--L", "0"],
         ["model", "--m", "0"],
         ["model", "--m", "28"],
         ["regression", "--proc-dims", "1,1,1", "--local-dims", "4,4,4", "--steps", "-3"],
-    ], ids=["size-4", "size-1k", "bandwidth-0", "latency-neg", "L-0", "m-0", "m-28",
-            "steps-neg"])
+    ], ids=["size-4", "size-1k", "bandwidth-0", "latency-neg", "latency-nan", "L-0", "m-0",
+            "m-28", "steps-neg"])
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == 2
@@ -624,3 +660,11 @@ class TestCli:
         assert not (tmp_path / "bad").exists()  # no point ran
         with pytest.raises(SystemExit):
             main(["sweep", "m", "19", "27"])
+
+
+def _set_cell(text, column, value):
+    """raw.csv text with ``column`` of its first row set to ``value``."""
+    header, row, *rest = text.splitlines(keepends=True)
+    cells = row.rstrip("\n").split(",")
+    cells[list(RAW_COLUMNS).index(column)] = value
+    return "".join([header, ",".join(cells) + "\n", *rest])
