@@ -14,7 +14,8 @@ from .config import SETTINGS, apply_settings, build_config
 from .errors import ConfigurationError, HaloLabError
 from .halo import STRATEGIES, blocking_message_sites, nonblocking_message_sites
 from .metrics import comm_work_ratio, total_cost
-from .reporting import emit_summary, result_rows, verify_raw_csv, write_csv, write_xy
+from .reporting import (emit_summary, result_rows, verify_raw_csv, write_csv, write_meta,
+                        write_xy)
 from .runner import (PingPongSample, bandwidth_sweep, detect_plateau, run_benchmark,
                      run_regression, run_test_halo)
 from .transport import TransportModel
@@ -94,13 +95,15 @@ def _cmd_sweep(args):
                   + ("  [oversubscribed]" if meta["oversubscribed"] else ""))
         overlap_rows.append({"intensity": cfg.overlap_intensity, **times})
     outdir = Path(base.output or "sweep_out")
+    attr = SETTINGS[args.key][0]
+    meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
+                sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
+    del meta["strategy"]  # each row names its own
     if mode is None:
-        paths = {"overlap": write_csv(overlap_rows, outdir / "overlap.csv", list(overlap_rows[0]))}
+        del meta["overlap"]["enabled"]  # so does each overlap.csv column
+        paths = {"overlap": write_csv(overlap_rows, outdir / "overlap.csv", list(overlap_rows[0])),
+                 "meta": write_meta(meta, outdir / "meta.json")}
     else:
-        attr = SETTINGS[args.key][0]
-        meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
-                    sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
-        del meta["strategy"]  # each row names its own
         paths = emit_summary(rows, outdir, meta, mode=mode)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
     return 0

@@ -108,7 +108,7 @@ def summarize(rows):
     for row in rows:
         groups.setdefault(tuple(row[c] for c in CONFIG_COLUMNS), []).append(row)
     out = []
-    for key in sorted(groups, key=str):
+    for key in sorted(groups):
         members = groups[key]
         values = [*key, len(members)]
         for column in SUMMARISED:

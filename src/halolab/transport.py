@@ -5,9 +5,11 @@ returns immediately with a RequestHandle; a send handle completes only
 once the matching receive has been posted and the payload handed over
 (synchronous semantics), a receive completes when its payload arrives.
 Matching is by (source, tag) at the destination, FIFO per pair, no
-wildcards.  A destination keeps one queue for every distinct (source, tag)
-it has ever been posted, emptied queues included, so callers should reuse
-a fixed set of tags rather than draw a new tag per message.
+wildcards.  A destination keeps one queue of unmatched posts for every
+(source, tag); without wildcards a queue only ever holds posts of one kind,
+so a post matches the oldest post of the other kind or joins the queue.
+Emptied queues are kept, so callers should reuse a fixed set of tags
+rather than draw a new tag per message.
 
 A send payload is any C-contiguous object with the buffer protocol
 (``bytes``, ``bytearray``, a numpy array, a ``memoryview``).  The fabric
@@ -26,11 +28,13 @@ buffer), one delivery copy (send buffer to receive buffer) and unpack
 (receive buffer to field).
 
 All fabric state sits under one lock, shared by one condition per rank.
-Posts take the lock.  A send without a cost model that finds its receive
-already posted copies the payload there and then, so both handles are
-complete when ``post_send`` returns.  A post that completes another
-rank's handle notifies that rank's condition only: the destination on
-``post_send``, the source on ``post_recv``.  ``abort`` notifies every rank.
+``post_send`` and ``post_recv`` check their arguments, then take the lock
+for one step shared by both: check for an abort, give a modelled send its
+ready time, match or queue, and notify the peer whose handle the match
+completed (the destination on ``post_send``, the source on ``post_recv``;
+never the posting rank, which is not waiting).  A match delivers there and
+then, so without a cost model both handles are complete when the second
+post returns.  ``abort`` notifies every rank.
 
 A wait first scans its handles without the lock.  A handle's state only
 moves forward (pending, matched, complete), a delivery marks it matched
@@ -112,22 +116,22 @@ class RequestHandle:
     A handle completes exactly once; waiting on a completed handle returns
     immediately.  ``payload`` is readable on a receive handle only after
     completion: a view of the delivered bytes in the receive buffer.
+    ``_buffer`` is the posted byte view: a send's until its delivery, a
+    receive's for good.
     """
 
     __slots__ = (
-        "kind", "source", "dest", "tag", "nbytes", "payload",
-        "_buffer", "_send_payload", "_matched", "_ready", "_error", "_consumed",
+        "kind", "source", "dest", "tag", "payload",
+        "_buffer", "_matched", "_ready", "_error", "_consumed",
     )
 
-    def __init__(self, kind, source, dest, tag, nbytes=0, buffer=None):
+    def __init__(self, kind, source, dest, tag, buffer):
         self.kind = kind
         self.source = source
         self.dest = dest
         self.tag = tag
-        self.nbytes = nbytes
         self.payload = None
         self._buffer = buffer
-        self._send_payload = None
         self._matched = False
         self._ready = None
         self._error = None
@@ -173,10 +177,10 @@ class Fabric:
         self._lock = threading.Lock()
         # one condition per rank, woken when a post completes one of its handles
         self._conds = [threading.Condition(self._lock) for _ in range(nranks)]
-        # pending queues indexed by dest, then keyed by (source, tag); FIFO per
-        # key.  Emptied queues are kept, so a reused key allocates nothing
-        self._sends = [defaultdict(deque) for _ in range(nranks)]
-        self._recvs = [defaultdict(deque) for _ in range(nranks)]
+        # unmatched posts indexed by dest, then keyed by (source, tag); FIFO
+        # per key, all of one kind.  Emptied queues are kept, so a reused key
+        # allocates nothing
+        self._pending = [defaultdict(deque) for _ in range(nranks)]
         self._pipe_free = [0.0] * nranks
         self._aborted = None
 
@@ -196,12 +200,8 @@ class Fabric:
     def pending_summary(self):
         """All unmatched posted requests as (kind, source, dest, tag)."""
         with self._lock:
-            out = []
-            for queues in (self._sends, self._recvs):
-                for per_dest in queues:
-                    for q in per_dest.values():
-                        out.extend(h.triple() for h in q)
-            return sorted(out)
+            return sorted(h.triple() for per_dest in self._pending
+                          for q in per_dest.values() for h in q)
 
     def assert_drained(self):
         """Unmatched requests left at shutdown are a deadlock fault."""
@@ -221,28 +221,6 @@ def _bytes_view(buffer):
     return view.cast("B")
 
 
-def _deliver(send_h, payload, recv_h):
-    # called under the fabric lock; _matched is written last, so a lock-free
-    # reader that sees it set also sees the payload, error and ready time
-    buffer = recv_h._buffer
-    if send_h.nbytes > len(buffer):
-        err = MessageTruncation(
-            f"payload of {send_h.nbytes} bytes from rank {send_h.source} "
-            f"(tag {send_h.tag}) exceeds receive capacity {len(buffer)}"
-        )
-        send_h._error = err
-        recv_h._error = err
-    else:
-        delivered = buffer if send_h.nbytes == len(buffer) else buffer[:send_h.nbytes]
-        # the one copy of a message: the sender's buffer into the receiver's
-        delivered[:] = payload
-        recv_h.payload = delivered
-    recv_h._ready = send_h._ready
-    send_h._send_payload = None
-    send_h._matched = True
-    recv_h._matched = True
-
-
 class Endpoint:
     """One rank's interface to the fabric: its posts and waits."""
 
@@ -257,44 +235,19 @@ class Endpoint:
         receive has been posted and the payload handed over.  Unless that
         receive is already posted, the payload buffer is not copied here:
         leave it unwritten until the send completes."""
-        fabric = self.fabric
-        if not 0 <= dest < fabric.nranks:
+        if not 0 <= dest < self.fabric.nranks:
             raise ValueError(f"invalid destination rank {dest}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
         if type(payload) is not memoryview or payload.format != "B" or payload.ndim != 1:
             payload = _bytes_view(payload)
-        nbytes = len(payload)
-        source = self.rank
-        h = RequestHandle("send", source, dest, tag, nbytes)
-        key = (source, tag)
-        lock = fabric._lock
-        lock.acquire()
-        try:
-            if fabric._aborted is not None:
-                raise TransportAborted(f"fabric aborted: {fabric._aborted}")
-            model = fabric.model
-            if model is not None:
-                start = max(perf_counter(), fabric._pipe_free[source])
-                h._ready = fabric._pipe_free[source] = start + model.delay(nbytes)
-            waiting = fabric._recvs[dest].get(key)
-            if waiting:
-                _deliver(h, payload, waiting.popleft())
-                if dest != source:  # a rank that posts is not waiting
-                    fabric._conds[dest].notify_all()
-            else:
-                h._send_payload = payload
-                fabric._sends[dest][key].append(h)
-        finally:
-            lock.release()
-        return h
+        return self._post(RequestHandle("send", self.rank, dest, tag, payload), dest)
 
     def post_recv(self, source, tag, buffer):
         """Non-blocking receive from (source, tag) into ``buffer``, a writable
         C-contiguous buffer whose byte length is the capacity.  Leave it
         unread until the receive completes."""
-        fabric = self.fabric
-        if not 0 <= source < fabric.nranks:
+        if not 0 <= source < self.fabric.nranks:
             raise ValueError(f"invalid source rank {source}")
         if tag < 0:
             raise ValueError("tag must be non-negative")
@@ -302,22 +255,47 @@ class Endpoint:
             buffer = _bytes_view(buffer)
         if buffer.readonly:
             raise ValueError("receive buffer must be writable")
-        dest = self.rank
-        h = RequestHandle("recv", source, dest, tag, 0, buffer)
-        key = (source, tag)
+        return self._post(RequestHandle("recv", source, self.rank, tag, buffer), source)
+
+    def _post(self, h, peer):
+        """The locked step of every post: check for an abort, give a modelled
+        send its ready time, then match ``h`` against the oldest post of the
+        other kind on its (source, tag) key or queue it there, and notify
+        ``peer`` if a match completed its handle."""
+        fabric = self.fabric
         lock = fabric._lock
         lock.acquire()
         try:
             if fabric._aborted is not None:
                 raise TransportAborted(f"fabric aborted: {fabric._aborted}")
-            waiting = fabric._sends[dest].get(key)
-            if waiting:
-                send_h = waiting.popleft()
-                _deliver(send_h, send_h._send_payload, h)
-                if source != dest:
-                    fabric._conds[source].notify_all()
+            model = fabric.model
+            if model is not None and h.kind == "send":
+                start = max(perf_counter(), fabric._pipe_free[h.source])
+                h._ready = fabric._pipe_free[h.source] = start + model.delay(len(h._buffer))
+            queue = fabric._pending[h.dest][h.source, h.tag]
+            if not queue or queue[0].kind == h.kind:
+                queue.append(h)
+                return h
+            send, recv = (h, queue.popleft()) if h.kind == "send" else (queue.popleft(), h)
+            # deliver; _matched is written last, so a lock-free reader that
+            # sees it set also sees the payload, error and ready time
+            payload, buffer = send._buffer, recv._buffer
+            nbytes, capacity = len(payload), len(buffer)
+            if nbytes > capacity:
+                send._error = recv._error = MessageTruncation(
+                    f"payload of {nbytes} bytes from rank {send.source} "
+                    f"(tag {send.tag}) exceeds receive capacity {capacity}"
+                )
             else:
-                fabric._recvs[dest][key].append(h)
+                delivered = buffer if nbytes == capacity else buffer[:nbytes]
+                # the one copy of a message: the sender's buffer into the receiver's
+                delivered[:] = payload
+                recv.payload = delivered
+            recv._ready = send._ready
+            send._buffer = None
+            send._matched = recv._matched = True
+            if peer != self.rank:  # a rank that posts is not waiting
+                fabric._conds[peer].notify_all()
         finally:
             lock.release()
         return h

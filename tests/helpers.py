@@ -1,4 +1,7 @@
-"""Helpers shared by the tests: halo-shell comparison and sweep reports."""
+"""Helpers shared by the tests: halo-shell comparison, an endpoint with
+shuffled completions, and sweep reports."""
+
+import numpy as np
 
 
 def halo_shell(field):
@@ -6,6 +9,27 @@ def halo_shell(field):
     out = field.data.copy()
     out[1:-1, 1:-1, 1:-1, :] = 0.0
     return out
+
+
+class ShuffledCompletions:
+    """An endpoint that forwards every call to ``inner`` except ``wait_any``,
+    which picks a seeded random index of the list it is given and waits on
+    that handle alone through ``inner``.  Completions thus reach the caller
+    in a shuffled order on any grid.  The caller must drop each returned
+    handle from its list, as the non-blocking end does: a handle returned
+    twice makes the inner ``wait_any`` raise ``UsageError``."""
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.rng = np.random.default_rng(seed)
+
+    def wait_any(self, handles):
+        i = int(self.rng.integers(len(handles)))
+        self.inner.wait_any([handles[i]])
+        return i
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def describe_sweep(samples, level, plateau):

@@ -413,6 +413,11 @@ class TestReporting:
         assert summary[0]["t_halo_sigma_s"] == 0.0
         assert summary[0]["B_eff_sigma_MBps"] == 0.0
 
+    def test_summary_rows_follow_the_numbers_of_their_configurations(self):
+        # as strings, "10" sorts before "4"
+        rows = [dict(r, Lx=n, Ly=n, Lz=n) for n in (10, 4) for r in self._rows()]
+        assert [s["Lx"] for s in summarize(rows)] == [4, 10]
+
     def test_derived_then_sigma_order(self):
         # asymmetric times distinguish sigma(derived) from derived(sigma)
         from halolab.metrics import effective_bandwidth, stddev
@@ -651,6 +656,11 @@ class TestCli:
         lines = (out / "overlap.csv").read_text().splitlines()
         assert lines[0] == "intensity,t_blocking_s,t_nonblocking_s,t_overlapped_s"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["sweep"] == {"key": "overlap.intensity", "values": [0, 2]}
+        assert meta["oversubscribed"] is False
+        assert meta["transport"]["model"] == {"latency_us": 50.0, "bandwidth_MBps": 1e6}
+        assert "strategy" not in meta and "enabled" not in meta["overlap"]
 
     def test_sweep_bad_grid_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "proc_dims", "1,1,1", "3,1,1", "--global-dims", "4,4,4",

@@ -26,7 +26,7 @@ from halolab.metrics import halo_sites
 from halolab.runner import run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
-from helpers import halo_shell
+from helpers import ShuffledCompletions, halo_shell
 
 
 def random_field(dims, m, seed):
@@ -327,9 +327,8 @@ class TestConsecutiveExchanges:
 
         fabric = run_ranks(topo.nranks, body, watchdog_seconds=10.0)[0]
         assert fabric.pending_summary() == []
-        for dest in range(fabric.nranks):
-            keys = fabric._sends[dest].keys() | fabric._recvs[dest].keys()
-            assert len(keys) <= 32
+        for per_dest in fabric._pending:
+            assert len(per_dest) <= 32
 
 
 class TestWireContent:
@@ -411,6 +410,36 @@ class TestDirectWireContent:
         for (shell_b, _), (shell_n, _) in zip(blocking, nonblocking):
             assert shell_b.any()
             assert np.array_equal(shell_b, shell_n)
+
+
+class TestShuffledCompletions:
+    """The non-blocking end unpacks each plane as it arrives and scatters the
+    edges and corners once.  On one rank its receives complete in post
+    order, so here ``wait_any`` returns them in a seeded random order, and
+    the shells must still equal the blocking ones."""
+
+    CASES = [((1, 1, 1), True), ((2, 2, 1), True), ((3, 2, 1), False)]
+    IDS = ["periodic-1x1x1", "periodic-2x2x1", "open-3x2x1"]
+
+    @pytest.mark.parametrize("proc_dims, periodic", CASES, ids=IDS)
+    def test_shells_equal_the_blocking_shells(self, proc_dims, periodic):
+        dims, m = (2, 3, 4), 3
+        topo = CartesianTopology(proc_dims, periodic=periodic)
+
+        def body(ctx):
+            mismatched = []
+            for seed in range(50):
+                shells = []
+                for strategy in ("blocking", "nonblocking"):
+                    f = random_field(dims, m, (seed, ctx.rank))
+                    ep = ShuffledCompletions(ctx.endpoint, (seed, ctx.rank))
+                    exchange(f, topo, HaloBuffers(topo, ctx.rank, dims, m, ep), strategy)
+                    shells.append(halo_shell(f))
+                if not np.array_equal(*shells):
+                    mismatched.append(seed)
+            return mismatched
+
+        assert run_ranks(topo.nranks, body, watchdog_seconds=10.0) == [[]] * topo.nranks
 
 
 class TestMultiRankConservation:

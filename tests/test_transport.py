@@ -386,15 +386,18 @@ class FabricMachine(RuleBasedStateMachine):
     handle into a failure.  Every payload starts with a serial number, so
     a FIFO slip changes the delivered bytes.  Once the fabric is aborted,
     with complete handles outstanding, every post and wait must raise
-    ``TransportAborted``.
+    ``TransportAborted``.  Under a cost model (``model``), each send's ready
+    time must follow its sender's injection pipe, its receive must share
+    it, and no wait may return a handle before that time.
     """
 
     ranks = st.integers(0, 1)
     tags = st.integers(0, 2)
+    model = None
 
     def __init__(self):
         super().__init__()
-        self.fabric = Fabric(2, watchdog_seconds=0.5)
+        self.fabric = Fabric(2, watchdog_seconds=0.5, model=self.model)
         self.fabric._conds = [_SleepSignal(self.fabric._lock) for _ in range(2)]
         self.eps = [self.fabric.endpoint(0), self.fabric.endpoint(1)]
         self.serial = 0
@@ -402,7 +405,21 @@ class FabricMachine(RuleBasedStateMachine):
         self.recvs = defaultdict(deque)  # key -> unmatched (handle, buffer)
         self.pairs = []  # (send, recv, bytes sent, array or None, buffer, truncated)
         self.fresh = []  # completed handles no wait_any has returned yet
+        self.pipe_free = [0.0, 0.0]  # when each sender's pipe frees, by the model
         self.aborted = False
+
+    def _post_send(self, src, dest, tag, payload, nbytes):
+        t0 = time.perf_counter()
+        sh = self.eps[src].post_send(dest, tag, payload)
+        t1 = time.perf_counter()
+        if self.model is None:
+            assert sh._ready is None
+        else:
+            # ready = max(now, pipe free) + delay, for some now in [t0, t1]
+            free, delay = self.pipe_free[src], self.model.delay(nbytes)
+            assert max(t0, free) + delay <= sh._ready <= max(t1, free) + delay
+            self.pipe_free[src] = sh._ready
+        return sh
 
     def _match(self, send, recv):
         (sh, sent, array), (rh, buffer) = send, recv
@@ -426,7 +443,7 @@ class FabricMachine(RuleBasedStateMachine):
             with pytest.raises(TransportAborted):
                 self.eps[src].post_send(dest, tag, payload)
             return
-        sh = self.eps[src].post_send(dest, tag, payload)
+        sh = self._post_send(src, dest, tag, payload, len(sent))
         key = (src, dest, tag)
         if self.recvs[key]:
             self._match((sh, sent, array), self.recvs[key].popleft())
@@ -476,7 +493,7 @@ class FabricMachine(RuleBasedStateMachine):
         helper = threading.Thread(target=wait, daemon=True)
         helper.start()
         assert cond.sleeping.wait(timeout=2.0), "the helper never slept in its wait"
-        sh = self.eps[src].post_send(dest, tag, sent)
+        sh = self._post_send(src, dest, tag, sent, len(sent))
         helper.join(timeout=2.0)
         assert not helper.is_alive()
         assert box == {"payload": sent}
@@ -491,7 +508,10 @@ class FabricMachine(RuleBasedStateMachine):
             with pytest.raises(TransportAborted):
                 ep.wait_any(handles)
             return
-        seen = [ep.wait_any(handles) for _ in handles]
+        seen = []
+        for _ in handles:
+            seen.append(ep.wait_any(handles))
+            assert handles[seen[-1]].state == "complete"  # modelled time included
         assert sorted(seen) == list(range(len(handles)))
         with pytest.raises(UsageError):
             ep.wait_any(handles)
@@ -539,6 +559,11 @@ class FabricMachine(RuleBasedStateMachine):
             assert buffer[kept:] == _FILL * (len(buffer) - kept)
 
     @invariant()
+    def a_receive_completes_with_its_send(self):
+        for sh, rh, *_ in self.pairs:
+            assert rh._ready == sh._ready
+
+    @invariant()
     def unmatched_requests_are_the_model_queues(self):
         expected = [("send", s, d, t) for (s, d, t), q in self.sends.items() for _ in q]
         expected += [("recv", s, d, t) for (s, d, t), q in self.recvs.items() for _ in q]
@@ -558,6 +583,16 @@ class FabricMachine(RuleBasedStateMachine):
 
 
 TestFabricMachine = FabricMachine.TestCase
+
+
+class ModelledFabricMachine(FabricMachine):
+    """The same machine on a fabric with a cost model, so that every post
+    also sets a ready time and every wait may have to wait it out."""
+
+    model = TransportModel(latency_s=20e-6, bandwidth_MBps=1e4)
+
+
+TestModelledFabricMachine = ModelledFabricMachine.TestCase
 
 
 class TestIntegrity:
