@@ -48,11 +48,23 @@ def _config_from_args(args):
     return build_config(args.config, overrides)
 
 
+def _output(path, directory=True):
+    """``path`` as a Path, checked before any run: the nearest part of it
+    that exists must be a directory, unless it is ``path`` itself, which
+    must be a file when ``directory`` is False.  Nothing is made here."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() != (directory or existing != path):
+        raise ConfigurationError(f"cannot write output to {path}: {existing} "
+                                 f"{'is' if existing.is_dir() else 'is not'} a directory")
+    return path
+
+
 def _cmd_bench(args):
     cfg = _config_from_args(args)
+    outdir = _output(cfg.output or "bench_out")
     record, meta = run_benchmark(cfg)
     rows = result_rows(record)
-    outdir = cfg.output or "bench_out"
     paths = emit_summary(rows, outdir, meta)
     for row in rows:
         print(
@@ -78,6 +90,7 @@ _SWEEPS = {
 
 def _cmd_sweep(args):
     base = _config_from_args(args)
+    outdir = _output(base.output or "sweep_out")
     mode, runs = _SWEEPS[args.key]
     points = [apply_settings(replace(base), {args.key: value}) for value in args.values]
     # every run is checked before the first one starts
@@ -94,7 +107,6 @@ def _cmd_sweep(args):
             print(f"{args.key}={value} {label}: t_halo={min(record.halo_times_s):.6f}s"
                   + ("  [oversubscribed]" if meta["oversubscribed"] else ""))
         overlap_rows.append({"intensity": cfg.overlap_intensity, **times})
-    outdir = Path(base.output or "sweep_out")
     attr = SETTINGS[args.key][0]
     meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
                 sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
@@ -130,8 +142,8 @@ def _cmd_pingpong(args):
             raise ConfigurationError(f"--sizes expects byte counts, got {args.sizes!r}") from None
         if min(sizes) < 8:
             raise ConfigurationError(f"message sizes must be at least 8 bytes, got {min(sizes)}")
+    out = _output(args.output or "pingpong.csv", directory=False)
     samples = bandwidth_sweep(sizes)
-    out = Path(args.output or "pingpong.csv")
     write_csv([asdict(s) for s in samples], out, [f.name for f in fields(PingPongSample)])
     plateau = detect_plateau(samples)
     peak = max(s.bandwidth_MBps for s in samples)
@@ -153,7 +165,7 @@ def _cmd_model(args):
         params = TransportModel(args.latency_us * 1e-6, args.bandwidth_mbps)
     except ValueError as exc:
         raise ConfigurationError(f"bad transport model: {exc}") from None
-    outdir = Path(args.output or "model_out")
+    outdir = _output(args.output or "model_out")
     outdir.mkdir(parents=True, exist_ok=True)
     m = args.m
     cost_rows = []

@@ -147,17 +147,25 @@ _META_PATHS = [(name, key.split(".")[:-1], key.split(".")[-1])
 
 
 def load_config_file(path):
-    """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
+    """Read a flat key=value UTF-8 file; '#' starts a comment, blank lines
+    ignored.  A file that cannot be read as such is a ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: not UTF-8 text "
+                                 f"({exc.reason})") from None
     entries = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries[key] = value
     return entries
 
 

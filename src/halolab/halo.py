@@ -31,6 +31,12 @@ strategies move exactly the same bytes per exchange and leave
 bit-identical halo shells.  All m components of every boundary site are
 exchanged, corners included, regardless of the velocity model.
 
+The exchange is the only code that writes halo values (``lattice.stream``
+and ``collide`` write interiors), and the physics loop rests on two facts.
+Every exchange rewrites each halo value that faces a neighbour before
+``stream`` reads it.  A value past an open edge is 0.0 from allocation on:
+the only writes that reach it are the blocking stages' forwarded zeros.
+
 Each strategy is a (start, end) pair in ``STRATEGIES``: blocking's start
 is the whole staged exchange and its end has nothing left to do, the way
 MPI treats a blocking call as a request that is already complete.
@@ -112,12 +118,6 @@ class ExchangeCounters:
     sends: int = 0
     bytes_sent: int = 0
     waits: int = 0
-
-    def reset(self):
-        self.sends = self.bytes_sent = self.waits = 0
-
-    def snapshot(self):
-        return ExchangeCounters(self.sends, self.bytes_sent, self.waits)
 
 
 @lru_cache(maxsize=64)
@@ -213,16 +213,13 @@ class HaloBuffers:
 
     ``direct`` holds the active messages of the 26-message exchange in post
     order (planes, edges, corners) and ``stages`` the active messages of
-    each blocking stage; peers past an open edge are left out.  Each
-    strategy's send buffers are consecutive slices of one send arena, and
-    its inboxes of one receive arena, in post order.  The two strategies
-    share the arenas, so only one exchange may be in flight at a time;
-    ``token`` holds the non-blocking exchange in flight, or None.  The first
-    ``planes`` direct messages are the planes; the rest, the edges and
-    corners, are packed by one gather of ``send_index`` into ``gathered``
-    and unpacked by one scatter of ``scattered`` to ``halo_index``, both
-    flat indices of the field's ``store``.  Also holds the instrumentation
-    counters.
+    each blocking stage; peers past an open edge are left out.  Their
+    buffers share the two arenas (see above), and ``token`` holds the
+    non-blocking exchange in flight, or None.  The first ``planes`` direct
+    messages are the planes; the rest, the edges and corners, are packed by
+    one gather of ``send_index`` into ``gathered`` and unpacked by one
+    scatter of ``scattered`` to ``halo_index``, both flat indices of the
+    field's ``store``.  Also holds the instrumentation counters.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):

@@ -9,7 +9,8 @@ and the tests read through it, so the order of the bytes on the wire (site,
 then component) does not depend on the storage order.
 
 The kernels work on whole components: ``stream`` is one shifted copy per
-component and zeroes only the halo shell of its output; ``collide`` takes
+component and writes every interior value of its output and no halo value
+(the halo exchange alone writes halos, see ``halo``); ``collide`` takes
 density and momentum in one numpy call each, then relaxes each component as
 one (Lx, Ly, Lz) array through scratch of about twelve such arrays, less
 than one interior.  Scratch lives for one call, never in the module,
@@ -239,10 +240,9 @@ def stream(field, vs, out=None):
 
     Reads may come from the halo shell, so the shell must hold valid
     neighbour data.  Double-buffered: the result is a separate field (pass
-    ``out`` to reuse an allocation).  Halo contents of the result are
-    unspecified; they are zeroed here.  Each component is one shifted copy
-    of a contiguous array; every interior value of ``out`` is overwritten,
-    so only its halo shell is zeroed.
+    ``out`` to reuse an allocation).  Each component is one shifted copy of
+    a contiguous array: every interior value of ``out`` is written and no
+    halo value, so ``out``'s shell keeps what it held.
     """
     lx, ly, lz = field.local_dims
     if out is None:
@@ -251,9 +251,6 @@ def stream(field, vs, out=None):
         raise ValueError("output field shape mismatch")
     src = field.store
     dst = out.store
-    dst[:, 0] = dst[:, -1] = 0.0
-    dst[:, 1:-1, 0] = dst[:, 1:-1, -1] = 0.0
-    dst[:, 1:-1, 1:-1, 0] = dst[:, 1:-1, 1:-1, -1] = 0.0
     for i, (ex, ey, ez) in enumerate(vs.e.tolist()):
         dst[i, 1:lx + 1, 1:ly + 1, 1:lz + 1] = src[
             i, 1 - ex:lx + 1 - ex, 1 - ey:ly + 1 - ey, 1 - ez:lz + 1 - ez

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import platform
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .metrics import (effective_bandwidth, efficiency, halo_bytes, mean, speedup, stddev,
                       updates_per_core)
+from .runner import usable_cpus
 
 # raw.csv's columns, in order, each with the type it reads back as
 RAW_COLUMNS = {
@@ -180,7 +180,7 @@ def emit_summary(rows, outdir, meta, mode="subdomain"):
 def write_meta(meta, path):
     """Write ``meta`` as JSON, with the identity of the host that ran it."""
     host = {"python": platform.python_version(), "numpy": np.__version__,
-            "nproc": len(os.sched_getaffinity(0)), "platform": platform.platform()}
+            "nproc": usable_cpus(), "platform": platform.platform()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

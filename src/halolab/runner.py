@@ -3,8 +3,8 @@
 rank loop, ``_bench_body``, from one field maker, ``_rank_fields``, so
 test-halo checks the exchange of the seeded fields that the benchmark times.
 
-Ranks are threads on one machine, so configurations beyond the hardware
-parallelism run fine for correctness work but their timings are flagged
+Ranks are threads on one machine, so configurations beyond the CPUs the
+process may use run fine for correctness work but their timings are flagged
 as oversubscribed in the metadata.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lattice
 from .errors import ConfigurationError, TransportAborted, TransportDeadlock
-from .halo import STRATEGIES, HaloBuffers
+from .halo import STRATEGIES, ExchangeCounters, HaloBuffers
 from .metrics import BenchRecord, halo_sites
 from .overlap import synthetic_workload
 from .topology import CartesianTopology
@@ -33,6 +33,12 @@ class RankContext:
     rank: int
     endpoint: object
     barrier: threading.Barrier
+
+
+def usable_cpus():
+    """The CPUs this process may run on: the host's ``nproc`` and the bound
+    above which a run's rank threads are oversubscribed."""
+    return len(os.sched_getaffinity(0))
 
 
 def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
@@ -153,7 +159,7 @@ def _bench_body(cfg, topo, vs, fields):
         halo_s, t0 = 0.0, perf_counter()
         for i in range(cfg.warmup + cfg.iterations):
             if i == cfg.warmup:
-                buffers.counters.reset()
+                buffers.counters = ExchangeCounters()
                 ctx.barrier.wait()
                 halo_s, t0 = 0.0, perf_counter()
             h0 = perf_counter()
@@ -168,7 +174,7 @@ def _bench_body(cfg, topo, vs, fields):
                 field, alt = _lb_step(field, alt, vs, cfg.tau)
         ctx.barrier.wait()
         fields[ctx.rank] = field
-        return halo_s, perf_counter() - t0, buffers.counters.snapshot()
+        return halo_s, perf_counter() - t0, buffers.counters
 
     return body
 
@@ -222,7 +228,7 @@ def run_benchmark(cfg):
         waits=waits,
     )
     meta = cfg.meta()
-    meta["oversubscribed"] = topo.nranks > (os.cpu_count() or 1)
+    meta["oversubscribed"] = topo.nranks > usable_cpus()
     return record, meta
 
 

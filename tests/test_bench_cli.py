@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from halolab import runner
+from halolab import cli, runner
 from halolab.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from halolab.config import SETTINGS, RunConfig, build_config, parse_dims
 from halolab.errors import ConfigurationError
@@ -21,6 +21,7 @@ from halolab.reporting import (
     summarize,
     verify_raw_csv,
     write_csv,
+    write_meta,
 )
 from halolab.runner import (
     HaloMismatch,
@@ -196,6 +197,13 @@ class TestRunBenchmark:
         assert host["numpy"] == np.__version__
         assert host["nproc"] == len(os.sched_getaffinity(0))
         assert host["platform"] == platform.platform()
+
+    def test_oversubscribed_counts_the_cpus_the_process_may_use(self, monkeypatch, tmp_path):
+        # two ranks on a process bound to one CPU, as under taskset -c 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, meta = run_benchmark(small_cfg(iterations=2, repetitions=1, warmup=0))
+        written = json.loads(write_meta(meta, tmp_path / "meta.json").read_text())
+        assert (written["oversubscribed"], written["host"]["nproc"]) == (True, 1)
 
     def test_overlap_mode_switches_scope(self, monkeypatch):
         # t_halo sums the start-to-end windows: overlapped work falls inside
@@ -608,6 +616,47 @@ class TestCli:
         assert main([*argv, "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    TINY_BENCH = ["bench", "--proc-dims", "1,1,1", "--local-dims", "2,2,2"]
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main([*self.TINY_BENCH, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot read config file {path}: No such file or directory"]
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"m = 19\nseed = \xff\n")
+        assert main([*self.TINY_BENCH, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot read config file {path}: not UTF-8 text "
+            "(invalid start byte)"]
+
+    @pytest.mark.parametrize("argv, taken, output, problem", [
+        (TINY_BENCH, "file", "taken", "is not a directory"),
+        (["sweep", "local_dims", "2,2,2", "--proc-dims", "1,1,1"], "file", "taken",
+         "is not a directory"),
+        (["model", "--L", "4"], "file", "taken", "is not a directory"),
+        (["pingpong", "--sizes", "1024"], "dir", "taken", "is a directory"),
+        (["pingpong", "--sizes", "1024"], "file", "taken/pp.csv", "is not a directory"),
+    ], ids=["bench", "sweep", "model", "pingpong-dir", "pingpong-under-file"])
+    def test_unwritable_output_is_config_error_before_any_run(
+            self, argv, taken, output, problem, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the output was checked")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_run)
+        monkeypatch.setattr(cli, "bandwidth_sweep", no_run)
+        if taken == "dir":
+            (tmp_path / "taken").mkdir()
+        else:
+            (tmp_path / "taken").write_text("kept\n")
+        out = tmp_path / output
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot write output to {out}: {tmp_path / 'taken'} {problem}"]
+        assert taken == "dir" or (tmp_path / "taken").read_text() == "kept\n"
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "b2"

@@ -138,10 +138,9 @@ class TestSingleRankExchange:
             f = random_field(dims, m, 1)
             buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
             exchange_blocking(f, topo, buffers)
-            blocking = buffers.counters.snapshot()
-            buffers.counters.reset()
+            blocking, buffers.counters = buffers.counters, ExchangeCounters()
             exchange(f, topo, buffers, "nonblocking")
-            return blocking, buffers.counters.snapshot()
+            return blocking, buffers.counters
 
         blocking, nonblocking = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert blocking.sends == 6 and blocking.waits == 3
@@ -227,7 +226,7 @@ def equivalence_case(proc_dims, dims, m, seed, periodic=True, watchdog=10.0):
             f = random_field(dims, m, (seed, ctx.rank))
             buffers = HaloBuffers(topo, ctx.rank, dims, m, ctx.endpoint)
             exchange(f, topo, buffers, strategy)
-            return halo_shell(f), buffers.counters.snapshot()
+            return halo_shell(f), buffers.counters
         return body
 
     blocking = run_ranks(topo.nranks, make_body("blocking"), watchdog_seconds=watchdog)
@@ -463,6 +462,51 @@ class TestMultiRankConservation:
         assert abs(total_after - total_before) <= 1e-13 * abs(total_before)
 
 
+def past_open_edges(topo, rank, dims):
+    """Mask of a rank's (Lx+2, Ly+2, Lz+2) sites that lie past an open edge
+    of the global lattice, from the rank's grid coordinates alone."""
+    mask = np.zeros(tuple(n + 2 for n in dims), dtype=bool)
+    for axis, (c, p, n, periodic) in enumerate(
+            zip(topo.cart_coords(rank), topo.dims, dims, topo.periodic)):
+        side = [slice(None)] * 3
+        for edge, index in ((0, 0), (p - 1, n + 1)):
+            if not periodic and c == edge:
+                side[axis] = index
+                mask[tuple(side)] = True
+    return mask
+
+
+class TestOpenEdges:
+    """Nothing but the exchange writes a halo value, and the exchange
+    leaves every value past an open edge at its allocated 0.0."""
+
+    @pytest.mark.parametrize("strategy", ["blocking", "nonblocking"])
+    @pytest.mark.parametrize("proc_dims, periodic", [
+        ((2, 2, 1), (True, False, True)),
+        ((2, 1, 1), False),
+    ], ids=["mixed", "open"])
+    def test_stay_zero_through_the_physics_loop(self, strategy, proc_dims, periodic):
+        vs = lattice.D3Q19
+        topo = CartesianTopology(proc_dims, periodic=periodic)
+        dims = (4, 3, 4)
+
+        def body(ctx):
+            past = past_open_edges(topo, ctx.rank, dims)
+            assert past.any()  # every rank of both grids has an open edge
+            f = lattice.random_state(dims, vs, np.random.default_rng([41, ctx.rank]))
+            spare = lattice.DistributionField(dims, vs.m)
+            buffers = HaloBuffers(topo, ctx.rank, dims, vs.m, ctx.endpoint)
+            for step in range(8):
+                exchange(f, topo, buffers, strategy)
+                spare = lattice.stream(f, vs, out=spare)
+                lattice.collide(spare, 1.0, vs)
+                f, spare = spare, f
+                for g in (f, spare):
+                    assert not g.data[past].any(), f"rank {ctx.rank}, step {step}"
+
+        run_ranks(topo.nranks, body, watchdog_seconds=10.0)
+
+
 class TestDeadlockAnnotation:
     def test_blocking_reports_stage(self):
         # rank 1 never participates, so rank 0 stalls in its first stage
@@ -549,12 +593,3 @@ class TestRunRanks:
         [err] = outcome
         assert isinstance(err, TransportDeadlock)
         assert "rank(s) [1] still running" in str(err)
-
-
-class TestCounters:
-    def test_reset_and_snapshot(self):
-        c = ExchangeCounters(sends=2, bytes_sent=10, waits=1)
-        snap = c.snapshot()
-        c.reset()
-        assert (c.sends, c.bytes_sent, c.waits) == (0, 0, 0)
-        assert (snap.sends, snap.bytes_sent, snap.waits) == (2, 10, 1)
