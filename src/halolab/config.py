@@ -147,10 +147,11 @@ _META_PATHS = [(name, key.split(".")[:-1], key.split(".")[-1])
 
 
 def load_config_file(path):
-    """Read a flat key=value UTF-8 file; '#' starts a comment, blank lines
-    ignored.  A file that cannot be read as such is a ConfigurationError."""
+    """Read a flat key=value UTF-8 file, with or without a byte-order mark;
+    '#' starts a comment, blank lines ignored.  A file that cannot be read as
+    such is a ConfigurationError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None

@@ -13,8 +13,10 @@ component and writes every interior value of its output and no halo value
 (the halo exchange alone writes halos, see ``halo``); ``collide`` takes
 density and momentum in one numpy call each, then relaxes each component as
 one (Lx, Ly, Lz) array through scratch of about twelve such arrays, less
-than one interior.  Scratch lives for one call, never in the module,
-because ranks are threads.
+than one interior.  ``random_state`` fills the seeded field one x-plane of
+random draws at a time; the values and the generator's state afterwards are
+those of one whole-field draw, and no temporary is as large as the interior.
+Scratch lives for one call, never in the module, because ranks are threads.
 """
 
 from __future__ import annotations
@@ -184,25 +186,6 @@ def _equilibrium(rho, u, vs):
             yield k, out
 
 
-def equilibrium(rho, u, vs):
-    """Second-order polynomial equilibrium distribution.
-
-    f_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u).  Broadcasts over
-    leading axes: rho (...,), u (..., 3) -> (..., m).  Zeroth and first
-    moments reproduce rho and rho*u to round-off for |u| well below 1.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if np.any(rho <= 0.0):
-        raise ZeroDensityError("equilibrium needs strictly positive density")
-    lead = np.broadcast_shapes(rho.shape, u.shape[:-1])
-    feq = np.empty(lead + (vs.m,))
-    u = np.moveaxis(np.broadcast_to(u, lead + (3,)), -1, 0)
-    for i, fi in _equilibrium(np.broadcast_to(rho, lead), u, vs):
-        feq[..., i] = fi
-    return feq
-
-
 def collide(field, tau, vs):
     """Relax every interior site toward local equilibrium (BGK), in place.
 
@@ -258,33 +241,30 @@ def stream(field, vs, out=None):
     return out
 
 
-def total_mass(field):
-    """Sum of all interior distribution values."""
-    return float(field.interior().sum())
-
-
-def total_momentum(field, vs):
-    """Global momentum vector, sum over interior sites of f_i e_i."""
-    per_component = field.interior().sum(axis=(0, 1, 2))
-    return per_component @ vs.e.astype(np.float64)
-
-
 def random_state(local_dims, vs, rng, du=0.02):
     """Seeded random field: near-equilibrium with a small kinetic perturbation.
 
     Density is 1 +- 0.1, velocity components are within +-``du``, and each
     value is its equilibrium times 1 +- 0.05, so every value stays strictly
     positive and collide is well defined.
+
+    Density and velocity are drawn whole; the site-major (x, y, z, i) kick is
+    drawn one x-plane at a time, which gives the same values, and leaves
+    ``rng`` in the same state, as one whole-field draw.  No temporary is as
+    large as the interior.
     """
     field = DistributionField(local_dims, vs.m)
-    shape = field.local_dims
+    lx, ly, lz = shape = field.local_dims
     rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=shape)
-    u = du * rng.uniform(-1.0, 1.0, size=shape + (3,))
-    kick = rng.uniform(-1.0, 1.0, size=shape + (vs.m,))
+    u = np.ascontiguousarray(
+        (du * rng.uniform(-1.0, 1.0, size=shape + (3,))).transpose(3, 0, 1, 2))
     fc = field.interior_components()
-    # feq * (1 + 0.05 * kick), component by component into the store
-    for i, feq in _equilibrium(rho, u.transpose(3, 0, 1, 2), vs):
-        np.multiply(kick[..., i], 0.05, out=fc[i])
-        fc[i] += 1.0
+    # 1 + 0.05 * kick, plane by plane into the store, then times feq
+    for x in range(lx):
+        kick = rng.uniform(-1.0, 1.0, size=(ly, lz, vs.m))
+        kick *= 0.05
+        kick += 1.0
+        fc[:, x] = kick.transpose(2, 0, 1)
+    for i, feq in _equilibrium(rho, u, vs):
         fc[i] *= feq
     return field

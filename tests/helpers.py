@@ -1,7 +1,41 @@
-"""Helpers shared by the tests: halo-shell comparison, an endpoint with
-shuffled completions, and sweep reports."""
+"""Helpers shared by the tests: the equilibrium and the conserved sums of a
+field, halo-shell comparison, an endpoint with shuffled completions, and
+sweep reports."""
 
 import numpy as np
+
+from halolab.errors import ZeroDensityError
+from halolab.lattice import _equilibrium
+
+
+def equilibrium(rho, u, vs):
+    """Second-order polynomial equilibrium distribution.
+
+    f_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u).  Broadcasts over
+    leading axes: rho (...,), u (..., 3) -> (..., m).  Zeroth and first
+    moments reproduce rho and rho*u to round-off for |u| well below 1.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(rho <= 0.0):
+        raise ZeroDensityError("equilibrium needs strictly positive density")
+    lead = np.broadcast_shapes(rho.shape, u.shape[:-1])
+    feq = np.empty(lead + (vs.m,))
+    u = np.moveaxis(np.broadcast_to(u, lead + (3,)), -1, 0)
+    for i, fi in _equilibrium(np.broadcast_to(rho, lead), u, vs):
+        feq[..., i] = fi
+    return feq
+
+
+def total_mass(field):
+    """Sum of all interior distribution values."""
+    return float(field.interior().sum())
+
+
+def total_momentum(field, vs):
+    """Global momentum vector, sum over interior sites of f_i e_i."""
+    per_component = field.interior().sum(axis=(0, 1, 2))
+    return per_component @ vs.e.astype(np.float64)
 
 
 def halo_shell(field):

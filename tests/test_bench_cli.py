@@ -8,7 +8,7 @@ import pytest
 
 from halolab import cli, runner
 from halolab.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
-from halolab.config import SETTINGS, RunConfig, build_config, parse_dims
+from halolab.config import SETTINGS, RunConfig, build_config, load_config_file, parse_dims
 from halolab.errors import ConfigurationError
 from halolab.halo import STRATEGIES, HaloBuffers, exchange
 from halolab.lattice import D3Q19, DistributionField, random_state
@@ -122,6 +122,12 @@ class TestConfig:
         assert cfg.watchdog_seconds == 7.5
         assert cfg.seed == 99 and cfg.m == 27
         cfg.validate()
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfm = 19\n")
+        assert load_config_file(path) == {"m": "19"}
+        assert build_config(path).m == 19
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

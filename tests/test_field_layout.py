@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from halolab import lattice
-from halolab.lattice import D3Q19, D3Q27, DistributionField, equilibrium
+from halolab.lattice import D3Q19, D3Q27, DistributionField
+from helpers import equilibrium
 
 
 def test_data_is_a_writable_view_of_store():

@@ -26,7 +26,7 @@ from halolab.metrics import halo_sites
 from halolab.runner import run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
-from helpers import ShuffledCompletions, halo_shell
+from helpers import ShuffledCompletions, halo_shell, total_mass
 
 
 def random_field(dims, m, seed):
@@ -451,10 +451,10 @@ class TestMultiRankConservation:
             rng = np.random.default_rng([31, ctx.rank])
             f = lattice.random_state(dims, vs, rng)
             buffers = HaloBuffers(topo, ctx.rank, dims, vs.m, ctx.endpoint)
-            before = lattice.total_mass(f)
+            before = total_mass(f)
             exchange(f, topo, buffers, "nonblocking")
             f = lattice.stream(f, vs)
-            return before, lattice.total_mass(f)
+            return before, total_mass(f)
 
         outs = run_ranks(topo.nranks, body, watchdog_seconds=10.0)
         total_before = sum(b for b, _ in outs)

@@ -12,12 +12,10 @@ from halolab.lattice import (
     collide,
     D3Q19,
     D3Q27,
-    equilibrium,
     stream,
-    total_mass,
-    total_momentum,
 )
 from halolab.metrics import halo_sites
+from helpers import equilibrium, total_mass, total_momentum
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +274,20 @@ def _seed_stream(field, vs, out=None):
     return out
 
 
+def _seed_random_state(local_dims, vs, rng, du=0.02):
+    field = DistributionField(local_dims, vs.m)
+    shape = field.local_dims
+    rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=shape)
+    u = du * rng.uniform(-1.0, 1.0, size=shape + (3,))
+    kick = rng.uniform(-1.0, 1.0, size=shape + (vs.m,))
+    fc = field.interior_components()
+    for i, feq in lattice._equilibrium(rho, u.transpose(3, 0, 1, 2), vs):
+        np.multiply(kick[..., i], 0.05, out=fc[i])
+        fc[i] += 1.0
+        fc[i] *= feq
+    return field
+
+
 def _shell(data):
     """Every halo-shell value of a field's data, flattened."""
     inside = np.zeros(data.shape[:3], dtype=bool)
@@ -311,6 +323,22 @@ class TestKernelsMatchReference:
         _seed_collide(expected, tau, vs)
         collide(field, tau, vs)
         assert np.array_equal(field.data, expected.data)
+
+    @given(
+        dims=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
+        vs=st.sampled_from([D3Q19, D3Q27]),
+        du=st.sampled_from([0.0, 0.02, 0.05, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_random_state_bit_for_bit(self, dims, vs, du, seed):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = lattice.random_state(dims, vs, rng, du=du)
+        expected = _seed_random_state(dims, vs, ref_rng, du=du)
+        # the whole store, so the halo shell must stay zero as well
+        assert np.array_equal(got.store, expected.store)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
@@ -362,7 +390,8 @@ class TestCollideErrors:
 
 
 class TestKernelAllocations:
-    """Neither kernel allocates a temporary as large as the interior."""
+    """Neither kernel nor the seeded fill allocates a temporary as large as
+    the interior."""
 
     L = 16
 
@@ -383,6 +412,13 @@ class TestKernelAllocations:
         limit = 8 * vs19.m * self.L**3
         assert self._peak(lambda: collide(f, 0.8, vs19)) < limit
         assert self._peak(lambda: stream(f, vs19, out=out)) < limit
+
+    def test_random_state_peak_below_one_interior(self, vs19):
+        dims = (self.L,) * 3
+        lattice.random_state(dims, vs19, np.random.default_rng(4))  # warm-up
+        store = 8 * vs19.m * (self.L + 2) ** 3
+        peak = self._peak(lambda: lattice.random_state(dims, vs19, np.random.default_rng(5)))
+        assert peak - store < 8 * vs19.m * self.L**3
 
 
 class TestField:
