@@ -1,7 +1,8 @@
-"""Rank orchestration: spawn one thread per subdomain and run the harnesses
-(benchmark, test-halo, regression, ping-pong).  The first three run one
-rank loop, ``_bench_body``, from one field maker, ``_rank_fields``, so
-test-halo checks the exchange of the seeded fields that the benchmark times.
+"""Rank orchestration: run rank 0 on the calling thread and one thread per
+further subdomain, and run the harnesses (benchmark, test-halo, regression,
+ping-pong).  The first three run one rank loop, ``_bench_body``, from one
+field maker, ``_rank_fields``, so test-halo checks the exchange of the
+seeded fields that the benchmark times.
 
 Ranks are threads on one machine, so configurations beyond the CPUs the
 process may use run fine for correctness work but their timings are flagged
@@ -42,18 +43,21 @@ def usable_cpus():
 
 
 def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
-    """Run ``body(ctx)`` on one thread per rank; return the per-rank results.
+    """Run ``body(ctx)`` once per rank; return the per-rank results.
 
-    The first rank failure aborts the fabric and the barrier so peers fail
-    fast instead of hitting the watchdog; that first error is re-raised.
-    The barrier shares the fabric's watchdog: a rank that waits there
-    longer fails with ``TransportDeadlock``.  Once a rank has failed, the
-    others get one more watchdog period to end, and once one has ended
-    cleanly, two: a rank blocked in the fabric or at a barrier fails by
-    itself within one.  Ranks still running then are left behind (the
-    threads are daemons) and named in the ``TransportDeadlock`` raised
-    instead.  Until a rank ends there is no bound: a run may compute as
-    long as it needs.
+    Rank 0 runs on the calling thread, as the launched process is rank 0
+    of an MPI job; ranks 1..n-1 each get a thread, so a one-rank run starts
+    none.  The first rank failure aborts the fabric and the barrier so
+    peers fail fast instead of hitting the watchdog; that first error is
+    re-raised.  The barrier shares the fabric's watchdog: a rank that waits
+    there longer fails with ``TransportDeadlock``.  Once rank 0 has
+    returned, the other ranks get two more watchdog periods to end, or one
+    if a rank has failed: a rank blocked in the fabric or at a barrier
+    fails by itself within one.  Ranks still running then are left behind
+    (the threads are daemons) and named in the ``TransportDeadlock`` raised
+    instead.  Rank 0 itself, like the only rank of a one-rank run, is
+    bounded only at its blocking points, so it cannot be left behind;
+    between them a run may compute as long as it needs.
     """
     fabric = Fabric(nranks, watchdog_seconds=watchdog_seconds, model=model)
     barrier = threading.Barrier(nranks, timeout=watchdog_seconds)
@@ -83,21 +87,21 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
                 ended.add(rank)
                 changed.notify()
 
-    threads = [
-        threading.Thread(target=run_one, args=(r,), name=f"rank-{r}", daemon=True)
-        for r in range(nranks)
-    ]
-    for t in threads:
+    threads = {
+        r: threading.Thread(target=run_one, args=(r,), name=f"rank-{r}", daemon=True)
+        for r in range(1, nranks)
+    }
+    for t in threads.values():
         t.start()
+    run_one(0)
     with changed:
-        changed.wait_for(lambda: errors or ended)
         if not errors:
             changed.wait_for(lambda: errors or len(ended) == nranks, 2 * watchdog_seconds)
         if errors:
             changed.wait_for(lambda: len(ended) == nranks, watchdog_seconds)
         stuck = sorted(set(range(nranks)) - ended)
         failures = list(errors)  # a rank left behind may still append
-    for rank in sorted(ended):
+    for rank in sorted(ended - {0}):
         threads[rank].join()
     if failures:
         # prefer the root cause over secondary barrier/abort fallout
@@ -190,7 +194,8 @@ def _launch(cfg):
     # resident, and a run whose rank thread was given another arena made a
     # second set on top (the peak RSS of a process repeating one-rank L=32
     # runs read ~57 MB or, in some processes, ~74 MB).  Made by this
-    # thread, they are freed into one arena.
+    # thread, they are freed into one arena.  Rank 0 runs on this thread
+    # too, so its kernel scratch also comes from this arena.
     fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
     outs = run_ranks(topo.nranks, _bench_body(cfg, topo, vs, fields),
                      watchdog_seconds=cfg.watchdog_seconds, model=cfg.transport_model())
@@ -200,7 +205,7 @@ def _launch(cfg):
 def run_benchmark(cfg):
     """Execute the configured benchmark; returns (BenchRecord, metadata dict).
 
-    Per repetition all ranks are re-spawned, warm up untimed, then run the
+    Per repetition all ranks start afresh, warm up untimed, then run the
     timed loop between barriers so the row reflects the slowest rank.
     """
     cfg.validate()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halolab import lattice
+from halolab.config import RunConfig
 from halolab.errors import ConfigurationError, TransportDeadlock, UsageError
 from halolab.halo import (
     GROUP_CORNERS,
@@ -23,7 +24,7 @@ from halolab.halo import (
     nonblocking_message_sites,
 )
 from halolab.metrics import halo_sites
-from halolab.runner import run_ranks
+from halolab.runner import run_benchmark, run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
 from helpers import ShuffledCompletions, halo_shell, total_mass
@@ -566,6 +567,20 @@ class TestDeadlockAnnotation:
             assert "rank(s) [1] still running" in str(err.value)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started while the test runs, in order."""
+    names = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
 class TestRunRanks:
     def test_rank_stuck_after_a_peer_ended_is_named(self):
         # rank 1 blocks outside the fabric, so no watchdog of its own fires
@@ -593,3 +608,61 @@ class TestRunRanks:
         [err] = outcome
         assert isinstance(err, TransportDeadlock)
         assert "rank(s) [1] still running" in str(err)
+
+    def test_one_rank_runs_on_the_caller(self, started):
+        before = threading.active_count()
+
+        def body(ctx):
+            return threading.current_thread(), threading.active_count()
+
+        [(thread, count)] = run_ranks(1, body, watchdog_seconds=5.0)
+        assert thread is threading.current_thread()
+        # a daemon left behind by an earlier test may end meanwhile
+        assert count <= before
+        assert started == []
+
+    def test_one_rank_benchmark_starts_no_thread(self, started):
+        cfg = RunConfig(proc_dims=(1, 1, 1), local_dims=(3, 3, 3), iterations=2,
+                        repetitions=2, watchdog_seconds=5.0)
+        run_benchmark(cfg)
+        assert started == []
+
+    def test_ranks_past_0_get_a_thread_each(self, started):
+        def body(ctx):
+            ctx.barrier.wait()
+            return threading.current_thread().name
+
+        names = run_ranks(3, body, watchdog_seconds=5.0)
+        assert names == [threading.current_thread().name, "rank-1", "rank-2"]
+        assert started == ["rank-1", "rank-2"]
+
+    def test_caller_rank_failure_beats_a_peer_in_the_fabric(self):
+        waiting = threading.Event()
+
+        def body(ctx):
+            if ctx.rank == 0:
+                waiting.wait(5.0)
+                raise ValueError("rank 0 failed")
+            handle = ctx.endpoint.post_recv(0, 0, bytearray(8))
+            waiting.set()
+            ctx.endpoint.wait_all((handle,))
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="rank 0 failed"):
+            run_ranks(2, body, watchdog_seconds=5.0)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_peer_failure_beats_the_caller_rank_at_the_barrier(self):
+        def body(ctx):
+            if ctx.rank == 0:
+                ctx.barrier.wait()
+                return
+            deadline = time.monotonic() + 5.0
+            while ctx.barrier.n_waiting == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise ValueError("rank 1 failed")
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="rank 1 failed"):
+            run_ranks(2, body, watchdog_seconds=5.0)
+        assert time.monotonic() - t0 < 1.0
