@@ -108,7 +108,9 @@ def _cmd_sweep(args):
                   + ("  [oversubscribed]" if meta["oversubscribed"] else ""))
         overlap_rows.append({"intensity": cfg.overlap_intensity, **times})
     attr = SETTINGS[args.key][0]
+    # the kernel threads follow each point's dims and ranks: one entry per point
     meta = dict(metas[0], oversubscribed=any(m["oversubscribed"] for m in metas),
+                kernel_threads=[m["kernel_threads"] for m in metas[::len(runs)]],
                 sweep={"key": args.key, "values": [getattr(p, attr) for p in points]})
     del meta["strategy"]  # each row names its own
     if mode is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -88,8 +89,10 @@ class RunConfig:
             raise ConfigurationError("warmup cannot be negative")
         if not self.tau > 0.5:
             raise ConfigurationError("tau must exceed 0.5")
-        if not self.watchdog_seconds > 0:
-            raise ConfigurationError("watchdog timeout must be positive")
+        # a run waits up to twice the watchdog for its ranks, in one wait
+        if not 0 < self.watchdog_seconds <= threading.TIMEOUT_MAX / 2:
+            raise ConfigurationError(
+                f"watchdog timeout must be positive and at most {threading.TIMEOUT_MAX / 2:g}s")
         if self.overlap_enabled and self.strategy != "nonblocking":
             raise ConfigurationError("overlap requires the nonblocking strategy")
         if self.overlap_intensity < 0:

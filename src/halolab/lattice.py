@@ -8,14 +8,18 @@ views the same memory site-major, as (x, y, z, i); halo packing, the checks
 and the tests read through it, so the order of the bytes on the wire (site,
 then component) does not depend on the storage order.
 
-The kernels work on whole components: ``stream`` is one shifted copy per
-component and writes every interior value of its output and no halo value
-(the halo exchange alone writes halos, see ``halo``); ``collide`` takes
-density and momentum in one numpy call each, then relaxes each component as
-one (Lx, Ly, Lz) array through scratch of about twelve such arrays, less
-than one interior.  ``random_state`` fills the seeded field one x-plane of
-random draws at a time; the values and the generator's state afterwards are
-those of one whole-field draw, and no temporary is as large as the interior.
+The kernels work on a box, three slices of padded coordinates inside the
+interior, which is their default; a caller may split the interior into
+x-slabs and run each on its own thread for the whole-field values bit for
+bit (``collide`` says when).  Within the box they work on whole components:
+``stream`` is one shifted copy per component and writes every value of its
+output in the box and no other, so no halo value (the halo exchange alone
+writes halos, see ``halo``); ``collide`` takes density and momentum in one
+numpy call each, then relaxes each component as one array of the box's
+shape through scratch of about twelve such arrays, less than one box of all
+components.  ``random_state`` fills the seeded field one x-plane of random
+draws at a time; the values and the generator's state afterwards are those
+of one whole-field draw, and no temporary is as large as the interior.
 Scratch lives for one call, never in the module, because ranks are threads.
 """
 
@@ -186,21 +190,32 @@ def _equilibrium(rho, u, vs):
             yield k, out
 
 
-def collide(field, tau, vs):
-    """Relax every interior site toward local equilibrium (BGK), in place.
+def interior_box(local_dims):
+    """The interior as a box: three slices of padded coordinates, 1..L."""
+    return tuple(slice(1, n + 1) for n in local_dims)
 
-    Conserves density and momentum at each site to round-off.  Density
-    ``rho`` and momentum are one numpy call each over the site-major
-    interior view; the density is checked before anything is written: a
-    NaN or inf in any component makes its site's density non-finite and
-    raises ``FloatingPointError``; a density <= 0 raises
-    ``ZeroDensityError``.  Each component is then relaxed as one
-    (Lx, Ly, Lz) array.  Scratch peaks at about twelve such arrays, under one
-    interior.  The halo shell is neither read nor written.
+
+def collide(field, tau, vs, box=None):
+    """Relax every site of ``box`` toward local equilibrium (BGK), in place.
+
+    ``box`` is three slices of padded coordinates inside the interior,
+    which is the default.  Conserves density and momentum at each site to
+    round-off.  Density ``rho`` and momentum are one numpy call each over
+    the box's site-major view; the density is checked before any write of
+    the box: a NaN or inf in any component makes its site's density
+    non-finite and raises ``FloatingPointError``; a density <= 0 raises
+    ``ZeroDensityError``.  Each component is then relaxed as one array of
+    the box's shape.  Scratch peaks at about twelve such arrays, under one
+    box of all components.  No value outside the box is read or written.
+    Boxes that partition the interior in x give the whole-field values bit
+    for bit, provided none holds a lone site of a larger interior: numpy
+    sums many sites' components one after another, a lone site's pairwise.
     """
     if not tau > 0.5:
         raise ValueError(f"tau={tau}: relaxation time must exceed 0.5")
-    f = field.interior()
+    if box is None:
+        box = interior_box(field.local_dims)
+    f = field.data[box]
     rho = f.sum(axis=-1)
     if not np.isfinite(rho).all():
         raise FloatingPointError("collide on a non-finite field")
@@ -210,7 +225,7 @@ def collide(field, tau, vs):
     u = np.empty((3,) + rho.shape)
     np.divide(mom.transpose(3, 0, 1, 2), rho, out=u)
     del mom
-    fc = field.interior_components()
+    fc = field.store[(slice(None),) + box]
     for i, feq in _equilibrium(rho, u, vs):
         fi = fc[i]
         np.subtract(fi, feq, out=feq)
@@ -218,25 +233,27 @@ def collide(field, tau, vs):
         np.subtract(fi, feq, out=fi)
 
 
-def stream(field, vs, out=None):
-    """Propagate each component one lattice step along its velocity.
+def stream(field, vs, out=None, box=None):
+    """Propagate each component one lattice step along its velocity into
+    the sites of ``box`` (three slices of padded coordinates inside the
+    interior, by default the whole interior).
 
     Reads may come from the halo shell, so the shell must hold valid
     neighbour data.  Double-buffered: the result is a separate field (pass
     ``out`` to reuse an allocation).  Each component is one shifted copy of
-    a contiguous array: every interior value of ``out`` is written and no
-    halo value, so ``out``'s shell keeps what it held.
+    a contiguous array: every value of ``out`` in the box is written and
+    no other, so ``out``'s halo shell keeps what it held.
     """
-    lx, ly, lz = field.local_dims
     if out is None:
         out = DistributionField(field.local_dims, field.m)
     elif out.local_dims != field.local_dims or out.m != field.m:
         raise ValueError("output field shape mismatch")
+    bx, by, bz = interior_box(field.local_dims) if box is None else box
     src = field.store
     dst = out.store
     for i, (ex, ey, ez) in enumerate(vs.e.tolist()):
-        dst[i, 1:lx + 1, 1:ly + 1, 1:lz + 1] = src[
-            i, 1 - ex:lx + 1 - ex, 1 - ey:ly + 1 - ey, 1 - ez:lz + 1 - ez
+        dst[i, bx, by, bz] = src[
+            i, bx.start - ex:bx.stop - ex, by.start - ey:by.stop - ey, bz.start - ez:bz.stop - ez
         ]
     return out
 

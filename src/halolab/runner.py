@@ -6,13 +6,19 @@ seeded fields that the benchmark times.
 
 Ranks are threads on one machine, so configurations beyond the CPUs the
 process may use run fine for correctness work but their timings are flagged
-as oversubscribed in the metadata.
+as oversubscribed in the metadata.  With physics, a rank streams and
+collides its interior in x-slabs, one per kernel worker: the rank thread
+and, where the run leaves CPUs spare and the subdomain is large enough,
+helper threads of its own (``kernel_slabs``), as Ludwig threads its
+kernels inside each MPI rank.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
+from concurrent import futures
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -135,11 +141,53 @@ def _rank_fields(cfg, local_dims, rank, vs):
     return field, None
 
 
-def _lb_step(field, spare, vs, tau):
-    """Stream ``field`` into ``spare`` and collide there.  Returns the
-    (field, spare) pair for the next step."""
-    spare = lattice.stream(field, vs, out=spare)
-    lattice.collide(spare, tau, vs)
+# The fewest interior sites per kernel worker.  Numpy releases the GIL
+# only inside each call, so every call of a helper's slab hands the GIL
+# over; below this size the hand-offs cost more than the second CPU gives.
+# Step time of one-rank D3Q19 ``run_benchmark`` runs with physics, two
+# workers against one, medians of six alternating runs on 2 vCPUs
+# (Python 3.11, numpy 2.4): L=24 (6,912 sites per worker) +27 %, L=26
+# (8,788) +0.5 % to +1 %, L=27 (9,842) -5 % but faster in only 3 of 6 runs,
+# L=28 (10,976) -12 % in 6 of 6, L=32 (16,384) -20 % in 6 of 6.
+KERNEL_MIN_SITES = 10_000
+
+
+def kernel_slabs(local_dims, nranks):
+    """The x-slabs, as boxes, that a rank's kernel workers stream and collide,
+    one per worker: ``w = min(usable_cpus() // nranks, Lx, sites //
+    KERNEL_MIN_SITES)`` workers, at least one, with slab widths differing
+    by at most one plane.  With ``KERNEL_MIN_SITES`` >= 2 no slab holds a
+    lone site unless the interior does, so the slabs give the whole-field
+    values bit for bit (``lattice.collide``)."""
+    lx, ly, lz = local_dims
+    w = max(1, min(usable_cpus() // nranks, lx, lx * ly * lz // KERNEL_MIN_SITES))
+    _, by, bz = lattice.interior_box(local_dims)
+    cuts = [1 + k * lx // w for k in range(w + 1)]
+    return [(slice(a, b), by, bz) for a, b in zip(cuts, cuts[1:])]
+
+
+def _slab_step(field, spare, vs, tau, box):
+    lattice.stream(field, vs, out=spare, box=box)
+    lattice.collide(spare, tau, vs, box=box)
+
+
+def _lb_step(field, spare, vs, tau, slabs, helpers, timeout):
+    """Stream ``field`` into ``spare`` and collide there, slab by slab: the
+    calling thread takes ``slabs[0]``, the ``helpers`` executor the others.
+    A slab's collide reads only what its own stream wrote, so the helpers
+    join once per step.  A helper's exception is re-raised as itself; a
+    helper not done ``timeout`` seconds after the calling thread's slab is
+    a ``TransportDeadlock``.  Returns the (field, spare) pair for the next
+    step."""
+    forks = [helpers.submit(_slab_step, field, spare, vs, tau, box) for box in slabs[1:]]
+    _slab_step(field, spare, vs, tau, slabs[0])
+    _, late = futures.wait(forks, timeout)
+    if late:
+        worker = next(k for k, fork in enumerate(forks, 1) if fork in late)
+        raise TransportDeadlock(
+            f"kernel worker {worker} did not finish its slab {timeout:.1f}s after worker 0")
+    for fork in forks:
+        fork.result()
     return spare, field
 
 
@@ -160,25 +208,32 @@ def _bench_body(cfg, topo, vs, fields):
         field, alt = fields[ctx.rank]
         fields[ctx.rank] = None
         buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ctx.endpoint)
-        halo_s, t0 = 0.0, perf_counter()
-        for i in range(cfg.warmup + cfg.iterations):
-            if i == cfg.warmup:
-                buffers.counters = ExchangeCounters()
-                ctx.barrier.wait()
-                halo_s, t0 = 0.0, perf_counter()
-            h0 = perf_counter()
-            token = start(field, topo, buffers)
-            if overlapped:
-                synthetic_workload(field, intensity)
-            end(token, field, buffers)
-            halo_s += perf_counter() - h0
-            if serial:
-                synthetic_workload(field, intensity)
-            if vs is not None:
-                field, alt = _lb_step(field, alt, vs, cfg.tau)
-        ctx.barrier.wait()
-        fields[ctx.rank] = field
-        return halo_s, perf_counter() - t0, buffers.counters
+        slabs = kernel_slabs(field.local_dims, topo.nranks) if vs is not None else []
+        # the helpers live for the run and are joined as it ends, failed or not
+        team = (futures.ThreadPoolExecutor(len(slabs) - 1,
+                                           thread_name_prefix=f"rank-{ctx.rank}-kernel")
+                if len(slabs) > 1 else contextlib.nullcontext())
+        with team as helpers:
+            halo_s, t0 = 0.0, perf_counter()
+            for i in range(cfg.warmup + cfg.iterations):
+                if i == cfg.warmup:
+                    buffers.counters = ExchangeCounters()
+                    ctx.barrier.wait()
+                    halo_s, t0 = 0.0, perf_counter()
+                h0 = perf_counter()
+                token = start(field, topo, buffers)
+                if overlapped:
+                    synthetic_workload(field, intensity)
+                end(token, field, buffers)
+                halo_s += perf_counter() - h0
+                if serial:
+                    synthetic_workload(field, intensity)
+                if vs is not None:
+                    field, alt = _lb_step(field, alt, vs, cfg.tau, slabs, helpers,
+                                          cfg.watchdog_seconds)
+            ctx.barrier.wait()
+            fields[ctx.rank] = field
+            return halo_s, perf_counter() - t0, buffers.counters
 
     return body
 
@@ -195,7 +250,8 @@ def _launch(cfg):
     # second set on top (the peak RSS of a process repeating one-rank L=32
     # runs read ~57 MB or, in some processes, ~74 MB).  Made by this
     # thread, they are freed into one arena.  Rank 0 runs on this thread
-    # too, so its kernel scratch also comes from this arena.
+    # too, so its kernel scratch also comes from this arena; a kernel
+    # helper's slab scratch comes from the helper's own arena.
     fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
     outs = run_ranks(topo.nranks, _bench_body(cfg, topo, vs, fields),
                      watchdog_seconds=cfg.watchdog_seconds, model=cfg.transport_model())
@@ -234,6 +290,7 @@ def run_benchmark(cfg):
     )
     meta = cfg.meta()
     meta["oversubscribed"] = topo.nranks > usable_cpus()
+    meta["kernel_threads"] = len(kernel_slabs(local, topo.nranks)) if cfg.physics == "full" else 0
     return record, meta
 
 

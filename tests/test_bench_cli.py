@@ -204,6 +204,17 @@ class TestRunBenchmark:
         assert host["nproc"] == len(os.sched_getaffinity(0))
         assert host["platform"] == platform.platform()
 
+    def test_meta_records_the_kernel_threads(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        _, meta = run_benchmark(RunConfig(proc_dims=(1, 1, 1), local_dims=(32, 32, 32),
+                                          physics="full", iterations=1, repetitions=1,
+                                          warmup=0))
+        written = json.loads(write_meta(meta, tmp_path / "meta.json").read_text())
+        assert written["kernel_threads"] == 2
+        # no physics, no kernels
+        _, meta = run_benchmark(small_cfg(iterations=2, repetitions=1, warmup=0))
+        assert meta["kernel_threads"] == 0
+
     def test_oversubscribed_counts_the_cpus_the_process_may_use(self, monkeypatch, tmp_path):
         # two ranks on a process bound to one CPU, as under taskset -c 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -615,8 +626,11 @@ class TestCli:
         ["model", "--m", "0"],
         ["model", "--m", "28"],
         ["regression", "--proc-dims", "1,1,1", "--local-dims", "4,4,4", "--steps", "-3"],
+        # a run waits up to twice the watchdog, and threading caps one wait
+        *(["test-halo", "--proc-dims", "2,1,1", "--local-dims", "4,4,4",
+           "--set", f"transport.watchdog_seconds={v}"] for v in ("inf", "1e300", "4.7e9")),
     ], ids=["size-4", "size-1k", "bandwidth-0", "latency-neg", "latency-nan", "L-0", "m-0",
-            "m-28", "steps-neg"])
+            "m-28", "steps-neg", "watchdog-inf", "watchdog-1e300", "watchdog-4.7e9"])
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == 2
@@ -693,6 +707,13 @@ class TestCli:
         rows = read_raw_csv(out / "raw.csv")
         assert {(r["strategy"], r["Lz"]) for r in rows} == {
             (s, lz) for s in ("blocking", "nonblocking") for lz in (2, 4)}
+
+    def test_sweep_records_the_kernel_threads_of_each_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        out = tmp_path / "sub"
+        assert main(["sweep", "local_dims", "4,4,4", "32,32,32", "--proc-dims", "1,1,1",
+                     "--physics", "full", *self.SWEEP_RUN, "--output", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["kernel_threads"] == [1, 2]
 
     def test_sweep_proc_dims(self, tmp_path):
         out = tmp_path / "scal"

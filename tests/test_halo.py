@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import threading
 import time
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halolab import lattice
+from halolab import lattice, runner
 from halolab.config import RunConfig
-from halolab.errors import ConfigurationError, TransportDeadlock, UsageError
+from halolab.errors import ConfigurationError, TransportDeadlock, UsageError, ZeroDensityError
 from halolab.halo import (
     GROUP_CORNERS,
     GROUP_EDGES,
@@ -24,7 +25,7 @@ from halolab.halo import (
     nonblocking_message_sites,
 )
 from halolab.metrics import halo_sites
-from halolab.runner import run_benchmark, run_ranks
+from halolab.runner import run_benchmark, run_physics, run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
 from helpers import ShuffledCompletions, halo_shell, total_mass
@@ -666,3 +667,72 @@ class TestRunRanks:
         with pytest.raises(ValueError, match="rank 1 failed"):
             run_ranks(2, body, watchdog_seconds=5.0)
         assert time.monotonic() - t0 < 1.0
+
+
+def physics_cfg(local_dims, proc_dims=(1, 1, 1), watchdog_seconds=5.0):
+    return RunConfig(proc_dims=proc_dims, local_dims=local_dims, physics="full", iterations=2,
+                     repetitions=1, warmup=0, watchdog_seconds=watchdog_seconds)
+
+
+def kernel_threads():
+    return [t for t in threading.enumerate() if "-kernel" in t.name]
+
+
+class TestKernelWorkers:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs the run may use; every interior site may get a worker."""
+        monkeypatch.setattr(runner, "KERNEL_MIN_SITES", 1)
+        return lambda n: monkeypatch.setattr(runner, "usable_cpus", lambda: n)
+
+    @pytest.mark.parametrize("dims", [(32, 32, 32), (7, 5, 3), (1, 9, 2)])
+    def test_physics_is_the_same_on_any_number_of_workers(self, cpus, dims):
+        digests = set()
+        for n in (1, 2, 3):
+            cpus(n)
+            assert len(runner.kernel_slabs(dims, 1)) == min(n, dims[0])
+            for strategy in ("blocking", "nonblocking"):
+                data = run_physics(physics_cfg(dims), strategy, 3)
+                digests.add(hashlib.sha256(b"".join(d.tobytes() for d in data)).hexdigest())
+        assert len(digests) == 1
+
+    def test_helper_failure_reaches_the_caller_as_itself(self, cpus, monkeypatch):
+        cpus(2)
+        make = runner._rank_fields
+
+        def seeded(cfg, local_dims, rank, vs):
+            # the helper's slab, x >= 4 of 8, holds no mass; the rank
+            # thread's slab keeps a positive density after streaming
+            field, spare = make(cfg, local_dims, rank, vs)
+            field.interior()[4:] = 0.0
+            return field, spare
+
+        monkeypatch.setattr(runner, "_rank_fields", seeded)
+        with pytest.raises(ZeroDensityError):
+            run_physics(physics_cfg((8, 8, 8)), "blocking", 1)
+        assert kernel_threads() == []
+
+    def test_late_helper_is_named(self, cpus, monkeypatch):
+        cpus(2)
+        step = runner._slab_step
+
+        def slow(*args):
+            if threading.current_thread().name.startswith("rank-0-kernel"):
+                time.sleep(0.6)
+            step(*args)
+
+        monkeypatch.setattr(runner, "_slab_step", slow)
+        with pytest.raises(TransportDeadlock, match="kernel worker 1 did not finish"):
+            run_physics(physics_cfg((4, 4, 4), watchdog_seconds=0.2), "blocking", 1)
+        assert kernel_threads() == []
+
+    @pytest.mark.parametrize("nranks, L, names", [
+        (1, 32, ["rank-0-kernel_0"]),
+        (1, 27, []),  # 19,683 sites: two workers would get fewer than KERNEL_MIN_SITES each
+        (2, 32, ["rank-1"]),
+    ])
+    def test_threads_started_on_two_cpus(self, started, monkeypatch, nranks, L, names):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        run_benchmark(physics_cfg((L, L, L), proc_dims=(nranks, 1, 1)))
+        assert started == names
+        assert kernel_threads() == []

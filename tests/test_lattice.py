@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halolab import lattice
@@ -323,6 +323,45 @@ class TestKernelsMatchReference:
         _seed_collide(expected, tau, vs)
         collide(field, tau, vs)
         assert np.array_equal(field.data, expected.data)
+
+    @given(
+        dims=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
+        vs=st.sampled_from([D3Q19, D3Q27]),
+        tau=st.floats(0.5, 2.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60)
+    def test_x_slabs_equal_the_whole_field(self, dims, vs, tau, seed, data):
+        lx, ly, lz = dims
+        cuts = sorted(data.draw(st.sets(st.integers(2, lx + 1), max_size=lx - 1)) - {lx + 1})
+        edges = [1, *cuts, lx + 1]
+        # numpy sums a lone site's components pairwise and those of many sites
+        # one component after another, so a one-site slab of a larger interior
+        # may differ in the last bit
+        assume(ly * lz > 1 or all(b - a > 1 for a, b in zip(edges, edges[1:])) or lx == 1)
+        slabs = [(slice(a, b), slice(1, ly + 1), slice(1, lz + 1))
+                 for a, b in zip(edges, edges[1:])]
+        slabs = data.draw(st.permutations(slabs))
+        rng = np.random.default_rng(seed)
+        field = DistributionField(dims, vs.m)
+        field.data[...] = rng.uniform(0.01, 1.0, size=field.data.shape)
+        # outputs start as garbage, NaNs included, so a missed or stray write shows
+        whole = DistributionField(dims, vs.m)
+        whole.data[...] = rng.uniform(-1e300, 1e300, size=whole.data.shape)
+        whole.data[rng.uniform(size=whole.data.shape) < 0.3] = np.nan
+        split = DistributionField(dims, vs.m)
+        split.store[...] = whole.store
+
+        stream(field, vs, out=whole)
+        for box in slabs:
+            stream(field, vs, out=split, box=box)
+        assert split.store.tobytes() == whole.store.tobytes()
+
+        collide(whole, tau, vs)
+        for box in slabs:
+            collide(split, tau, vs, box=box)
+        assert split.store.tobytes() == whole.store.tobytes()
 
     @given(
         dims=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
