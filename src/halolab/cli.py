@@ -180,7 +180,7 @@ def _cmd_model(args):
             "halo_bytes": sum(nonblocking),
             "t_blocking_6msg_s": total_cost(params, blocking),
             "t_nonblocking_26msg_s": total_cost(params, nonblocking),
-            "latency_gap_s": 20 * params.latency_s,
+            "latency_gap_s": (len(nonblocking) - len(blocking)) * params.latency_s,
         })
     write_csv(cost_rows, outdir / "cost_vs_L.csv",
               ["L", "halo_bytes", "t_blocking_6msg_s", "t_nonblocking_26msg_s", "latency_gap_s"])

@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigurationError("iterations and repetitions must be at least 1")
         if self.warmup < 0:
             raise ConfigurationError("warmup cannot be negative")
+        if self.seed < 0:
+            raise ConfigurationError("seed cannot be negative")
         if not self.tau > 0.5:
             raise ConfigurationError("tau must exceed 0.5")
         # a run waits up to twice the watchdog for its ranks, in one wait

@@ -111,15 +111,6 @@ _STAGE_NAMES = ("X", "Y", "Z")
 _STAGED = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
 
 
-@dataclass
-class ExchangeCounters:
-    """Instrumentation for the bench harness: message, byte and wait counts."""
-
-    sends: int = 0
-    bytes_sent: int = 0
-    waits: int = 0
-
-
 @lru_cache(maxsize=64)
 def _plan(local_dims):
     """(send slices, halo slices, extent) of the 26 direct messages in
@@ -219,11 +210,10 @@ class HaloBuffers:
     messages are the planes; the rest, the edges and corners, are packed by
     one gather of ``send_index`` into ``gathered`` and unpacked by one
     scatter of ``scattered`` to ``halo_index``, both flat indices of the
-    field's ``store``.  Also holds the instrumentation counters.
+    field's ``store``.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):
-        self.rank = int(rank)
         self.local_dims = dims = tuple(int(v) for v in local_dims)
         self.m = m = int(m)
         if min(self.local_dims) < 1:
@@ -259,7 +249,6 @@ class HaloBuffers:
         self.stages = [[msg for msg in staged_msgs if (msg.send_id - 26) // 2 == dim]
                        for dim in range(3)]
         self.token = None
-        self.counters = ExchangeCounters()
 
     def check_field(self, field):
         if field.local_dims != self.local_dims or field.m != self.m:
@@ -288,7 +277,7 @@ def _post_receives(ep, messages):
     return [ep.post_recv(msg.peer, msg.recv_id, msg.inbox_view) for msg in messages]
 
 
-def _post_sends(ep, messages, counters, data=None):
+def _post_sends(ep, messages, data=None):
     """Post each message's send, packing it from ``data`` first unless
     ``data`` is None (already packed)."""
     handles = []
@@ -296,8 +285,6 @@ def _post_sends(ep, messages, counters, data=None):
         if data is not None:
             msg.buffer[...] = data[msg.send_slices]
         handles.append(ep.post_send(msg.peer, msg.send_id, msg.view))
-        counters.bytes_sent += len(msg.view)
-    counters.sends += len(messages)
     return handles
 
 
@@ -311,12 +298,11 @@ def exchange_nonblocking_start(field, topo, buffers):
     """
     _check_idle(field, buffers)
     ep = buffers.endpoint
-    counters = buffers.counters
     direct = buffers.direct
     recvs = _post_receives(ep, direct)
-    sends = _post_sends(ep, direct[:buffers.planes], counters, field.data)
+    sends = _post_sends(ep, direct[:buffers.planes], field.data)
     np.take(field.store.reshape(-1), buffers.send_index, out=buffers.gathered, mode="clip")
-    sends += _post_sends(ep, direct[buffers.planes:], counters)
+    sends += _post_sends(ep, direct[buffers.planes:])
     buffers.token = ExchangeToken(recvs, sends)
     return buffers.token
 
@@ -357,7 +343,6 @@ def exchange_nonblocking_end(token, field, buffers):
     sends = list(token.sends)
     while sends:
         sends.pop(ep.wait_any(sends))
-    buffers.counters.waits += 1  # one logical completion barrier
     buffers.token = None
 
 
@@ -370,17 +355,15 @@ def exchange_blocking(field, topo, buffers):
     _check_idle(field, buffers)
     ep = buffers.endpoint
     data = field.data
-    counters = buffers.counters
     for dim, messages in enumerate(buffers.stages):
         recvs = _post_receives(ep, messages)
-        sends = _post_sends(ep, messages, counters, data)
+        sends = _post_sends(ep, messages, data)
         try:
             ep.wait_all(recvs + sends)
         except TransportDeadlock as exc:
             raise TransportDeadlock(
                 f"blocked in {_STAGE_NAMES[dim]} stage: {exc}", pending=exc.pending
             ) from exc
-        counters.waits += 1
         for msg in messages:
             data[msg.halo_slices] = msg.inbox
 

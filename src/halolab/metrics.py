@@ -141,14 +141,13 @@ class BenchRecord:
     step_times_s: list
     bytes_sent: list
     messages_sent: list
-    waits: list
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
         lengths = {
             len(self.step_times_s), len(self.bytes_sent),
-            len(self.messages_sent), len(self.waits), len(self.halo_times_s),
+            len(self.messages_sent), len(self.halo_times_s),
         }
         if lengths != {self.repetitions}:
             raise ValueError("per-repetition series have mismatched lengths")

@@ -27,7 +27,7 @@ from .runner import usable_cpus
 RAW_COLUMNS = {
     "strategy": str, "Px": int, "Py": int, "Pz": int, "Lx": int, "Ly": int, "Lz": int,
     "m": int, "rep": int, "iterations": int, "t_halo_total_s": float,
-    "t_step_total_s": float, "bytes_sent": int, "messages_sent": int, "waits": int,
+    "t_step_total_s": float, "bytes_sent": int, "messages_sent": int,
     "B_eff_MBps": float, "updates_per_core": float,
 }
 
@@ -60,7 +60,7 @@ def result_rows(record):
     """Flatten a BenchRecord into one dict per repetition, in RAW_COLUMNS order."""
     rows = []
     measured = zip(record.halo_times_s, record.step_times_s, record.bytes_sent,
-                   record.messages_sent, record.waits)
+                   record.messages_sent)
     for rep, values in enumerate(measured):
         row = dict(zip(RAW_COLUMNS, (record.strategy, *record.proc_dims, *record.local_dims,
                                      record.m, rep, record.iterations, *values)))

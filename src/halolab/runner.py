@@ -26,7 +26,7 @@ import numpy as np
 
 from . import lattice
 from .errors import ConfigurationError, TransportAborted, TransportDeadlock
-from .halo import STRATEGIES, ExchangeCounters, HaloBuffers
+from .halo import STRATEGIES, HaloBuffers
 from .metrics import BenchRecord, halo_sites
 from .overlap import synthetic_workload
 from .topology import CartesianTopology
@@ -194,8 +194,9 @@ def _lb_step(field, spare, vs, tau, slabs, helpers, timeout):
 def _bench_body(cfg, topo, vs, fields):
     """The rank loop of every harness.  Rank r takes over ``fields[r]``,
     leaves its final field there after the last barrier and returns (halo
-    seconds, step seconds, counters) of its timed steps: the halo seconds
-    sum the start-to-end windows, the step seconds span the whole loop."""
+    seconds, step seconds, sends, bytes sent) of its timed steps: the halo
+    seconds sum the start-to-end windows, the step seconds span the whole
+    loop, and the sends and bytes are its endpoint's counts."""
     start, end = STRATEGIES[cfg.strategy]
     # work runs only at a nonzero intensity; overlap_enabled decides whether
     # it runs inside the start/end window or serially after the exchange
@@ -207,7 +208,8 @@ def _bench_body(cfg, topo, vs, fields):
         # the list lets go, so the spare is freed when the rank ends
         field, alt = fields[ctx.rank]
         fields[ctx.rank] = None
-        buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ctx.endpoint)
+        ep = ctx.endpoint
+        buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ep)
         slabs = kernel_slabs(field.local_dims, topo.nranks) if vs is not None else []
         # the helpers live for the run and are joined as it ends, failed or not
         team = (futures.ThreadPoolExecutor(len(slabs) - 1,
@@ -217,7 +219,7 @@ def _bench_body(cfg, topo, vs, fields):
             halo_s, t0 = 0.0, perf_counter()
             for i in range(cfg.warmup + cfg.iterations):
                 if i == cfg.warmup:
-                    buffers.counters = ExchangeCounters()
+                    ep.sends = ep.bytes_sent = 0
                     ctx.barrier.wait()
                     halo_s, t0 = 0.0, perf_counter()
                 h0 = perf_counter()
@@ -233,7 +235,7 @@ def _bench_body(cfg, topo, vs, fields):
                                           cfg.watchdog_seconds)
             ctx.barrier.wait()
             fields[ctx.rank] = field
-            return halo_s, perf_counter() - t0, buffers.counters
+            return halo_s, perf_counter() - t0, ep.sends, ep.bytes_sent
 
     return body
 
@@ -266,16 +268,15 @@ def run_benchmark(cfg):
     """
     cfg.validate()
     proc, local, _ = cfg.resolve_dims()
-    halo_times, step_times, bytes_sent, messages, waits = [], [], [], [], []
+    halo_times, step_times, bytes_sent, messages = [], [], [], []
     for _ in range(cfg.repetitions):
         # the fields go here, before the next repetition makes its own
         topo, outs = _launch(cfg)[:2]
-        t_halo, t_step, counters = zip(*outs)
+        t_halo, t_step, sends, nbytes = zip(*outs)
         halo_times.append(max(t_halo))
         step_times.append(max(t_step))
-        bytes_sent.append(sum(c.bytes_sent for c in counters))
-        messages.append(sum(c.sends for c in counters))
-        waits.append(sum(c.waits for c in counters))
+        bytes_sent.append(sum(nbytes))
+        messages.append(sum(sends))
     record = BenchRecord(
         strategy=cfg.strategy,
         proc_dims=proc,
@@ -286,7 +287,6 @@ def run_benchmark(cfg):
         step_times_s=step_times,
         bytes_sent=bytes_sent,
         messages_sent=messages,
-        waits=waits,
     )
     meta = cfg.meta()
     meta["oversubscribed"] = topo.nranks > usable_cpus()

@@ -1,9 +1,11 @@
 """In-process message passing with synchronous non-blocking send semantics.
 
-Each rank owns an Endpoint on a shared Fabric.  Posting a send or receive
-returns immediately with a RequestHandle; a send handle completes only
-once the matching receive has been posted and the payload handed over
-(synchronous semantics), a receive completes when its payload arrives.
+Each rank owns an Endpoint on a shared Fabric, used by that rank's thread
+alone, which counts the sends it posts and their bytes.  Posting a send
+or receive returns immediately with a RequestHandle; a send handle
+completes only once the matching receive has been posted and the payload
+handed over (synchronous semantics), a receive completes when its payload
+arrives.
 Matching is by (source, tag) at the destination, FIFO per pair, no
 wildcards.  A destination keeps one queue of unmatched posts for every
 (source, tag); without wildcards a queue only ever holds posts of one kind,
@@ -222,13 +224,17 @@ def _bytes_view(buffer):
 
 
 class Endpoint:
-    """One rank's interface to the fabric: its posts and waits."""
+    """One rank's interface to the fabric, used by that rank's thread alone:
+    its posts and waits, and ``sends`` and ``bytes_sent``, the number and
+    payload bytes of the sends the fabric has accepted (the rank may reset
+    them)."""
 
-    __slots__ = ("fabric", "rank")
+    __slots__ = ("fabric", "rank", "sends", "bytes_sent")
 
     def __init__(self, fabric, rank):
         self.fabric = fabric
         self.rank = rank
+        self.sends = self.bytes_sent = 0
 
     def post_send(self, dest, tag, payload):
         """Non-blocking synchronous send; completes only after the matching
@@ -241,7 +247,10 @@ class Endpoint:
             raise ValueError("tag must be non-negative")
         if type(payload) is not memoryview or payload.format != "B" or payload.ndim != 1:
             payload = _bytes_view(payload)
-        return self._post(RequestHandle("send", self.rank, dest, tag, payload), dest)
+        h = self._post(RequestHandle("send", self.rank, dest, tag, payload), dest)
+        self.sends += 1
+        self.bytes_sent += len(payload)
+        return h
 
     def post_recv(self, source, tag, buffer):
         """Non-blocking receive from (source, tag) into ``buffer``, a writable

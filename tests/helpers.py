@@ -1,6 +1,6 @@
 """Helpers shared by the tests: the equilibrium and the conserved sums of a
-field, halo-shell comparison, an endpoint with shuffled completions, and
-sweep reports."""
+field, halo-shell comparison, an endpoint with shuffled completions, an
+endpoint that logs its calls, and sweep reports."""
 
 import numpy as np
 
@@ -64,6 +64,28 @@ class ShuffledCompletions:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
+
+
+class CallLog:
+    """An endpoint that forwards every call to ``inner`` and appends the name
+    of each post and wait to ``calls``, in call order."""
+
+    LOGGED = ("post_recv", "post_send", "wait_all", "wait_any")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        call = getattr(self.inner, name)
+        if name not in self.LOGGED:
+            return call
+
+        def logged(*args):
+            self.calls.append(name)
+            return call(*args)
+
+        return logged
 
 
 def describe_sweep(samples, level, plateau):

@@ -323,7 +323,7 @@ def test_criterion_8_statistics_pipeline():
     record = BenchRecord(
         strategy="blocking", proc_dims=(1, 1, 1), local_dims=(4, 4, 4), m=19,
         iterations=10, halo_times_s=times, step_times_s=times,
-        bytes_sent=[0, 0, 0], messages_sent=[0, 0, 0], waits=[0, 0, 0],
+        bytes_sent=[0, 0, 0], messages_sent=[0, 0, 0],
     )
     summary = summarize(result_rows(record))[0]
     per_rep = [effective_bandwidth((4, 4, 4), 19, t / 10) for t in times]

@@ -180,7 +180,6 @@ class TestRunBenchmark:
         record, meta = run_benchmark(small_cfg(strategy="blocking"))
         nranks, iters = 2, 4
         assert record.messages_sent == [6 * nranks * iters] * 2
-        assert record.waits == [3 * nranks * iters] * 2
         record_nb, _ = run_benchmark(small_cfg(strategy="nonblocking"))
         assert record_nb.messages_sent == [26 * nranks * iters] * 2
         assert record_nb.bytes_sent == record.bytes_sent
@@ -477,7 +476,7 @@ class TestReporting:
         emit_summary(self._rows(), tmp_path, {})
         assert (tmp_path / "raw.csv").read_text().splitlines()[0] == (
             "strategy,Px,Py,Pz,Lx,Ly,Lz,m,rep,iterations,t_halo_total_s,t_step_total_s,"
-            "bytes_sent,messages_sent,waits,B_eff_MBps,updates_per_core")
+            "bytes_sent,messages_sent,B_eff_MBps,updates_per_core")
         assert (tmp_path / "summary.csv").read_text().splitlines()[0] == (
             "strategy,Px,Py,Pz,Lx,Ly,Lz,m,iterations,repetitions,t_halo_mean_s,"
             "t_halo_sigma_s,t_step_mean_s,t_step_sigma_s,B_eff_mean_MBps,B_eff_sigma_MBps,"
@@ -520,7 +519,6 @@ def result_rows_from_fake(strategy, proc, t_halo):
         step_times_s=[t_halo * 1.1],
         bytes_sent=[1000],
         messages_sent=[60],
-        waits=[30],
     )
     return result_rows(record)
 
@@ -596,7 +594,7 @@ class TestCli:
         (lambda text: "a,b\n1,2\n", "header is not raw.csv's"),
         (lambda text: text.splitlines(keepends=True)[0], "no rows"),
         (lambda text: text.replace(",19,", ",x,", 1), "line 2: m 'x' is not int"),
-        (lambda text: text.rstrip("\n") + ",7\n", "line 2 has 18 cells, not 17"),
+        (lambda text: text.rstrip("\n") + ",7\n", "line 2 has 17 cells, not 16"),
         (lambda text: _set_cell(text, "iterations", "0"),
          "strategy=blocking L=(3, 3, 3) rep=0: derived columns cannot be recomputed"),
         (lambda text: _set_cell(text, "t_halo_total_s", "0.0"),
@@ -629,8 +627,10 @@ class TestCli:
         # a run waits up to twice the watchdog, and threading caps one wait
         *(["test-halo", "--proc-dims", "2,1,1", "--local-dims", "4,4,4",
            "--set", f"transport.watchdog_seconds={v}"] for v in ("inf", "1e300", "4.7e9")),
+        ["test-halo", "--proc-dims", "1,1,1", "--local-dims", "4,4,4", "--seed", "-5"],
     ], ids=["size-4", "size-1k", "bandwidth-0", "latency-neg", "latency-nan", "L-0", "m-0",
-            "m-28", "steps-neg", "watchdog-inf", "watchdog-1e300", "watchdog-4.7e9"])
+            "m-28", "steps-neg", "watchdog-inf", "watchdog-1e300", "watchdog-4.7e9",
+            "seed-neg"])
     def test_bad_input_is_config_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*argv, "--output", str(out)]) == 2

@@ -15,7 +15,7 @@ from halolab.halo import (
     GROUP_CORNERS,
     GROUP_EDGES,
     GROUP_PLANES,
-    ExchangeCounters,
+    STRATEGIES,
     HaloBuffers,
     blocking_message_sites,
     exchange,
@@ -28,7 +28,7 @@ from halolab.metrics import halo_sites
 from halolab.runner import run_benchmark, run_physics, run_ranks
 from halolab.topology import DISPLACEMENTS, CartesianTopology, HaloNeighbour
 from halolab.transport import TransportModel
-from helpers import ShuffledCompletions, halo_shell, total_mass
+from helpers import CallLog, ShuffledCompletions, halo_shell, total_mass
 
 
 def random_field(dims, m, seed):
@@ -120,7 +120,7 @@ class TestSingleRankExchange:
         f, buffers = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert buffers.direct == [] and buffers.stages == [[], [], []]
         assert not halo_shell(f).any()
-        assert (buffers.counters.sends, buffers.counters.bytes_sent) == (0, 0)
+        assert (buffers.endpoint.sends, buffers.endpoint.bytes_sent) == (0, 0)
 
     @pytest.mark.parametrize("strategy, dims", [
         ("blocking", (3, 2, 2)),
@@ -138,17 +138,21 @@ class TestSingleRankExchange:
 
         def body(ctx):
             f = random_field(dims, m, 1)
-            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
-            exchange_blocking(f, topo, buffers)
-            blocking, buffers.counters = buffers.counters, ExchangeCounters()
-            exchange(f, topo, buffers, "nonblocking")
-            return blocking, buffers.counters
+            ep, log = ctx.endpoint, CallLog(ctx.endpoint)
+            buffers = HaloBuffers(topo, 0, dims, m, log)
+            counts = []
+            for strategy in STRATEGIES:
+                ep.sends = ep.bytes_sent = 0
+                log.calls.clear()
+                exchange(f, topo, buffers, strategy)
+                waits = sum(name.startswith("wait") for name in log.calls)
+                counts.append((ep.sends, ep.bytes_sent, waits))
+            return counts
 
         blocking, nonblocking = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        assert blocking.sends == 6 and blocking.waits == 3
-        assert nonblocking.sends == 26
-        assert nonblocking.waits == 1
-        assert blocking.bytes_sent == nonblocking.bytes_sent == halo_sites(dims) * m * 8
+        nbytes = halo_sites(dims) * m * 8
+        assert blocking == (6, nbytes, 3)
+        assert nonblocking == (26, nbytes, 52)
 
     def test_start_posts_everything_without_waiting(self):
         dims, m = (2, 3, 2), 4
@@ -156,14 +160,28 @@ class TestSingleRankExchange:
 
         def body(ctx):
             f = random_field(dims, m, 2)
-            buffers = HaloBuffers(topo, 0, dims, m, ctx.endpoint)
+            log = CallLog(ctx.endpoint)
+            buffers = HaloBuffers(topo, 0, dims, m, log)
             token = exchange_nonblocking_start(f, topo, buffers)
-            posted = (len(token.recvs), len(token.sends), buffers.counters.waits)
+            started = list(log.calls)
             exchange_nonblocking_end(token, f, buffers)
-            return posted
+            return started, log.calls[len(started):]
 
-        recvs, sends, waits = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        assert (recvs, sends, waits) == (26, 26, 0)
+        started, ended = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        assert started == ["post_recv"] * 26 + ["post_send"] * 26
+        assert ended == ["wait_any"] * 52
+
+    def test_blocking_posts_and_waits_once_per_stage(self):
+        dims, m = (2, 3, 2), 4
+        topo = CartesianTopology((1, 1, 1))
+
+        def body(ctx):
+            log = CallLog(ctx.endpoint)
+            exchange_blocking(random_field(dims, m, 2), topo, HaloBuffers(topo, 0, dims, m, log))
+            return log.calls
+
+        calls = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        assert calls == ["post_recv", "post_recv", "post_send", "post_send", "wait_all"] * 3
 
     def test_end_twice_is_usage_error(self):
         dims, m = (2, 2, 2), 3
@@ -228,7 +246,7 @@ def equivalence_case(proc_dims, dims, m, seed, periodic=True, watchdog=10.0):
             f = random_field(dims, m, (seed, ctx.rank))
             buffers = HaloBuffers(topo, ctx.rank, dims, m, ctx.endpoint)
             exchange(f, topo, buffers, strategy)
-            return halo_shell(f), buffers.counters
+            return halo_shell(f), ctx.endpoint
         return body
 
     blocking = run_ranks(topo.nranks, make_body("blocking"), watchdog_seconds=watchdog)
@@ -241,9 +259,9 @@ class TestStrategyEquivalence:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 1, 1), (2, 3, 4), (1, 3, 2)])
     def test_shells_bit_identical(self, proc_dims, dims):
         blocking, nonblocking = equivalence_case(proc_dims, dims, 5, seed=99)
-        for (shell_b, counters_b), (shell_n, counters_n) in zip(blocking, nonblocking):
+        for (shell_b, ep_b), (shell_n, ep_n) in zip(blocking, nonblocking):
             assert np.array_equal(shell_b, shell_n)
-            assert counters_b.bytes_sent == counters_n.bytes_sent
+            assert ep_b.bytes_sent == ep_n.bytes_sent
 
     def test_byte_totals_match_shell_size(self):
         dims = (2, 3, 4)

@@ -233,7 +233,6 @@ class TestBenchRecord:
             step_times_s=[0.15, 0.25],
             bytes_sent=[100, 100],
             messages_sent=[60, 60],
-            waits=[30, 30],
         )
         base.update(kw)
         return BenchRecord(**base)
