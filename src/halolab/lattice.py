@@ -9,15 +9,17 @@ and the tests read through it, so the order of the bytes on the wire (site,
 then component) does not depend on the storage order.
 
 The kernels work on a box, three slices of padded coordinates inside the
-interior, which is their default; a caller may split the interior into
-x-slabs and run each on its own thread for the whole-field values bit for
-bit (``collide`` says when).  Within the box they work on whole components:
-``stream`` is one shifted copy per component and writes every value of its
-output in the box and no other, so no halo value (the halo exchange alone
-writes halos, see ``halo``); ``collide`` takes density and momentum in one
-numpy call each, then relaxes each component as one array of the box's
-shape through scratch of about twelve such arrays, less than one box of all
-components.  ``random_state`` fills the seeded field one x-plane of random
+interior, which is their default.  Within the box they work on whole
+components: ``stream`` is one shifted copy per component and writes every
+value of its output in the box and no other, so no halo value (the halo
+exchange alone writes halos, see ``halo``); its output may be its input, so
+a rank keeps one field (q values per node, not 2q), and disjoint component
+sets of one field may stream on separate threads.  ``collide`` takes
+density and momentum in one numpy call each, then relaxes each component as
+one array of the box's shape through scratch of about twelve such arrays,
+less than one box of all components; x-slabs of the interior may collide on
+separate threads for the whole-field values bit for bit (``collide`` says
+when).  ``random_state`` fills the seeded field one x-plane of random
 draws at a time; the values and the generator's state afterwards are those
 of one whole-field draw, and no temporary is as large as the interior.
 Scratch lives for one call, never in the module, because ranks are threads.
@@ -233,16 +235,21 @@ def collide(field, tau, vs, box=None):
         np.subtract(fi, feq, out=fi)
 
 
-def stream(field, vs, out=None, box=None):
+def stream(field, vs, out=None, box=None, components=None):
     """Propagate each component one lattice step along its velocity into
     the sites of ``box`` (three slices of padded coordinates inside the
     interior, by default the whole interior).
 
     Reads may come from the halo shell, so the shell must hold valid
-    neighbour data.  Double-buffered: the result is a separate field (pass
-    ``out`` to reuse an allocation).  Each component is one shifted copy of
-    a contiguous array: every value of ``out`` in the box is written and
-    no other, so ``out``'s halo shell keeps what it held.
+    neighbour data.  The result goes to ``out``, a new field by default;
+    ``out`` may be ``field`` itself, which streams in place: numpy copies a
+    component's overlapping source before it assigns, so the values are
+    those of a separate output bit for bit.  Each component is one shifted
+    copy of a contiguous array: every value of ``out`` in the box is
+    written and no other, so ``out``'s halo shell keeps what it held.
+    ``components`` selects the component indices to stream (by default
+    all); the others of ``out`` keep what they held, so disjoint selections
+    may stream one field in place on separate threads.
     """
     if out is None:
         out = DistributionField(field.local_dims, field.m)
@@ -251,7 +258,9 @@ def stream(field, vs, out=None, box=None):
     bx, by, bz = interior_box(field.local_dims) if box is None else box
     src = field.store
     dst = out.store
-    for i, (ex, ey, ez) in enumerate(vs.e.tolist()):
+    e = vs.e.tolist()
+    for i in range(vs.m) if components is None else components:
+        ex, ey, ez = e[i]
         dst[i, bx, by, bz] = src[
             i, bx.start - ex:bx.stop - ex, by.start - ey:by.stop - ey, bz.start - ez:bz.stop - ez
         ]

@@ -6,11 +6,13 @@ seeded fields that the benchmark times.
 
 Ranks are threads on one machine, so configurations beyond the CPUs the
 process may use run fine for correctness work but their timings are flagged
-as oversubscribed in the metadata.  With physics, a rank streams and
-collides its interior in x-slabs, one per kernel worker: the rank thread
-and, where the run leaves CPUs spare and the subdomain is large enough,
-helper threads of its own (``kernel_slabs``), as Ludwig threads its
-kernels inside each MPI rank.
+as oversubscribed in the metadata.  With physics, a rank holds one
+distribution field, which it streams in place and then collides.  Both
+kernels are split across the rank's kernel workers: the rank thread and,
+where the run leaves CPUs spare and the subdomain is large enough, helper
+threads of its own (``kernel_slabs``), as Ludwig threads its kernels
+inside each MPI rank.  The workers stream disjoint component sets and
+collide x-slabs.
 """
 
 from __future__ import annotations
@@ -131,30 +133,33 @@ def run_ranks(nranks, body, watchdog_seconds=30.0, model=None):
 
 
 def _rank_fields(cfg, local_dims, rank, vs):
-    """A rank's seeded field and, with physics, the spare that stream fills."""
+    """A rank's seeded field: near equilibrium with physics, uniform without."""
     rng = np.random.default_rng([cfg.seed, rank])
     if vs is not None:
-        field = lattice.random_state(local_dims, vs, rng)
-        return field, lattice.DistributionField(local_dims, cfg.m)
+        return lattice.random_state(local_dims, vs, rng)
     field = lattice.DistributionField(local_dims, cfg.m)
     field.interior()[...] = rng.uniform(0.5, 1.5, size=field.interior().shape)
-    return field, None
+    return field
 
 
 # The fewest interior sites per kernel worker.  Numpy releases the GIL
-# only inside each call, so every call of a helper's slab hands the GIL
+# only inside each call, so every call of a helper's share hands the GIL
 # over; below this size the hand-offs cost more than the second CPU gives.
-# Step time of one-rank D3Q19 ``run_benchmark`` runs with physics, two
-# workers against one, medians of six alternating runs on 2 vCPUs
-# (Python 3.11, numpy 2.4): L=24 (6,912 sites per worker) +27 %, L=26
-# (8,788) +0.5 % to +1 %, L=27 (9,842) -5 % but faster in only 3 of 6 runs,
-# L=28 (10,976) -12 % in 6 of 6, L=32 (16,384) -20 % in 6 of 6.
-KERNEL_MIN_SITES = 10_000
+# Step time of one-rank D3Q19 ``run_benchmark`` runs with physics (stream
+# in place by component set, collide by x-slab), two workers against one,
+# medians of six alternating runs per series on 2 vCPUs (Python 3.11,
+# numpy 2.4): L=24 (6,912 sites per worker) +42 % and +43 %, L=26 (8,788)
+# +27 % twice, L=27 (9,841) +8 % to +30 % over three series, L=28
+# (10,976) +1 % to +12 % in all seven, L=29 (12,194) -2 % to +13 % over
+# three, L=30 (13,500) -11 % to +7 % and faster in three of four, L=31
+# (14,895) -8 % to -11 % in all three, L=32 (16,384) -8 % to -17 % in all
+# three.
+KERNEL_MIN_SITES = 13_000
 
 
 def kernel_slabs(local_dims, nranks):
-    """The x-slabs, as boxes, that a rank's kernel workers stream and collide,
-    one per worker: ``w = min(usable_cpus() // nranks, Lx, sites //
+    """The x-slabs, as boxes, that a rank's kernel workers collide, one per
+    worker: ``w = min(usable_cpus() // nranks, Lx, sites //
     KERNEL_MIN_SITES)`` workers, at least one, with slab widths differing
     by at most one plane.  With ``KERNEL_MIN_SITES`` >= 2 no slab holds a
     lone site unless the interior does, so the slabs give the whole-field
@@ -166,37 +171,44 @@ def kernel_slabs(local_dims, nranks):
     return [(slice(a, b), by, bz) for a, b in zip(cuts, cuts[1:])]
 
 
-def _slab_step(field, spare, vs, tau, box):
-    lattice.stream(field, vs, out=spare, box=box)
-    lattice.collide(spare, tau, vs, box=box)
-
-
-def _lb_step(field, spare, vs, tau, slabs, helpers, timeout):
-    """Stream ``field`` into ``spare`` and collide there, slab by slab: the
-    calling thread takes ``slabs[0]``, the ``helpers`` executor the others.
-    A slab's collide reads only what its own stream wrote, so the helpers
-    join once per step.  A helper's exception is re-raised as itself; a
-    helper not done ``timeout`` seconds after the calling thread's slab is
-    a ``TransportDeadlock``.  Returns the (field, spare) pair for the next
-    step."""
-    forks = [helpers.submit(_slab_step, field, spare, vs, tau, box) for box in slabs[1:]]
-    _slab_step(field, spare, vs, tau, slabs[0])
+def _fork_join(helpers, phase, kernel, jobs, timeout):
+    """Run ``kernel(*jobs[0])`` on the calling thread and the other jobs on
+    the ``helpers`` executor, then join them.  A helper's exception is
+    re-raised as itself; a helper not done ``timeout`` seconds after the
+    calling thread's job is a ``TransportDeadlock`` naming it and ``phase``."""
+    forks = [helpers.submit(kernel, *job) for job in jobs[1:]]
+    kernel(*jobs[0])
     _, late = futures.wait(forks, timeout)
     if late:
         worker = next(k for k, fork in enumerate(forks, 1) if fork in late)
-        raise TransportDeadlock(
-            f"kernel worker {worker} did not finish its slab {timeout:.1f}s after worker 0")
+        raise TransportDeadlock(f"kernel worker {worker} did not finish its {phase} "
+                                f"{timeout:.1f}s after worker 0")
     for fork in forks:
         fork.result()
-    return spare, field
+
+
+def _lb_step(field, vs, tau, slabs, helpers, timeout):
+    """Stream ``field`` in place, then collide it, with one kernel worker
+    per slab of ``slabs``: the calling thread and the ``helpers`` executor.
+    Of w workers, worker k streams components 1 + k, 1 + k + w, ... of the
+    whole interior (component 0, the rest velocity, stays where it is):
+    streamed in place, an x-slab's edge plane would read the neighbour
+    slab's first plane while that slab overwrites it.  Worker k then
+    collides ``slabs[k]``, which reads every component of its sites, so the
+    workers join after each phase."""
+    w = len(slabs)
+    _fork_join(helpers, "stream", lattice.stream,
+               [(field, vs, field, None, range(1 + k, vs.m, w)) for k in range(w)], timeout)
+    _fork_join(helpers, "collide", lattice.collide,
+               [(field, tau, vs, box) for box in slabs], timeout)
 
 
 def _bench_body(cfg, topo, vs, fields):
-    """The rank loop of every harness.  Rank r takes over ``fields[r]``,
-    leaves its final field there after the last barrier and returns (halo
-    seconds, step seconds, sends, bytes sent) of its timed steps: the halo
-    seconds sum the start-to-end windows, the step seconds span the whole
-    loop, and the sends and bytes are its endpoint's counts."""
+    """The rank loop of every harness.  Rank r steps ``fields[r]`` in place,
+    so the list holds the final fields once every rank has returned, and
+    returns (halo seconds, step seconds, sends, bytes sent) of its timed
+    steps: the halo seconds sum the start-to-end windows, the step seconds
+    span the whole loop, and the sends and bytes are its endpoint's counts."""
     start, end = STRATEGIES[cfg.strategy]
     # work runs only at a nonzero intensity; overlap_enabled decides whether
     # it runs inside the start/end window or serially after the exchange
@@ -205,9 +217,7 @@ def _bench_body(cfg, topo, vs, fields):
     serial = intensity > 0 and not cfg.overlap_enabled
 
     def body(ctx):
-        # the list lets go, so the spare is freed when the rank ends
-        field, alt = fields[ctx.rank]
-        fields[ctx.rank] = None
+        field = fields[ctx.rank]
         ep = ctx.endpoint
         buffers = HaloBuffers(topo, ctx.rank, field.local_dims, cfg.m, ep)
         slabs = kernel_slabs(field.local_dims, topo.nranks) if vs is not None else []
@@ -231,10 +241,8 @@ def _bench_body(cfg, topo, vs, fields):
                 if serial:
                     synthetic_workload(field, intensity)
                 if vs is not None:
-                    field, alt = _lb_step(field, alt, vs, cfg.tau, slabs, helpers,
-                                          cfg.watchdog_seconds)
+                    _lb_step(field, vs, cfg.tau, slabs, helpers, cfg.watchdog_seconds)
             ctx.barrier.wait()
-            fields[ctx.rank] = field
             return halo_s, perf_counter() - t0, ep.sends, ep.bytes_sent
 
     return body
@@ -246,14 +254,16 @@ def _launch(cfg):
     proc, local, _ = cfg.resolve_dims()
     topo = CartesianTopology(proc, periodic=cfg.periodic)
     vs = lattice.velocity_set_for(cfg.m) if cfg.physics == "full" else None
-    # Fields are made here, not on the rank threads, which live for one
-    # run: glibc's arena of a finished rank thread kept the freed fields
-    # resident, and a run whose rank thread was given another arena made a
-    # second set on top (the peak RSS of a process repeating one-rank L=32
-    # runs read ~57 MB or, in some processes, ~74 MB).  Made by this
-    # thread, they are freed into one arena.  Rank 0 runs on this thread
-    # too, so its kernel scratch also comes from this arena; a kernel
-    # helper's slab scratch comes from the helper's own arena.
+    # One field per rank, made here, not on the rank threads, which live
+    # for one run: glibc's arena of a finished rank thread kept the freed
+    # fields resident, and a run whose rank thread was given another arena
+    # made a second set on top (when each rank also held a spare field, the
+    # peak RSS of a process repeating one-rank L=32 runs read ~57 MB or, in
+    # some processes, ~74 MB).  Made by this thread, they are freed into one
+    # arena.  Rank 0 runs on this thread too, so its kernel scratch also
+    # comes from this arena; a kernel helper's scratch (the component copies
+    # of its in-place stream, the collide scratch of its slab) comes from the
+    # helper's own arena.
     fields = [_rank_fields(cfg, local, rank, vs) for rank in range(topo.nranks)]
     outs = run_ranks(topo.nranks, _bench_body(cfg, topo, vs, fields),
                      watchdog_seconds=cfg.watchdog_seconds, model=cfg.transport_model())
@@ -346,7 +356,7 @@ def halo_oracle(cfg):
     whole = np.empty((*global_, cfg.m))
     for rank, origin in enumerate(origins):
         box = tuple(slice(o, o + n) for o, n in zip(origin, local))
-        whole[box] = _rank_fields(cfg, local, rank, None)[0].interior()
+        whole[box] = _rank_fields(cfg, local, rank, None).interior()
     for axis, periodic in enumerate(topo.periodic):
         width = [(0, 0)] * 4
         width[axis] = (1, 1)

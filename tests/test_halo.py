@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import sys
 import threading
 import time
 
@@ -687,9 +688,9 @@ class TestRunRanks:
         assert time.monotonic() - t0 < 1.0
 
 
-def physics_cfg(local_dims, proc_dims=(1, 1, 1), watchdog_seconds=5.0):
-    return RunConfig(proc_dims=proc_dims, local_dims=local_dims, physics="full", iterations=2,
-                     repetitions=1, warmup=0, watchdog_seconds=watchdog_seconds)
+def physics_cfg(local_dims, proc_dims=(1, 1, 1), watchdog_seconds=5.0, m=19):
+    return RunConfig(proc_dims=proc_dims, local_dims=local_dims, m=m, physics="full",
+                     iterations=2, repetitions=1, warmup=0, watchdog_seconds=watchdog_seconds)
 
 
 def kernel_threads():
@@ -705,14 +706,23 @@ class TestKernelWorkers:
 
     @pytest.mark.parametrize("dims", [(32, 32, 32), (7, 5, 3), (1, 9, 2)])
     def test_physics_is_the_same_on_any_number_of_workers(self, cpus, dims):
-        digests = set()
-        for n in (1, 2, 3):
-            cpus(n)
-            assert len(runner.kernel_slabs(dims, 1)) == min(n, dims[0])
-            for strategy in ("blocking", "nonblocking"):
-                data = run_physics(physics_cfg(dims), strategy, 3)
-                digests.add(hashlib.sha256(b"".join(d.tobytes() for d in data)).hexdigest())
-        assert len(digests) == 1
+        # workers share one field; a short switch interval hands the GIL
+        # between them often, so an unjoined write would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for m in (19, 27):
+                digests = set()
+                for n in (1, 2, 3):
+                    cpus(n)
+                    assert len(runner.kernel_slabs(dims, 1)) == min(n, dims[0])
+                    for strategy in ("blocking", "nonblocking"):
+                        data = run_physics(physics_cfg(dims, m=m), strategy, 3)
+                        digests.add(
+                            hashlib.sha256(b"".join(d.tobytes() for d in data)).hexdigest())
+                assert len(digests) == 1, f"m={m}"
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_helper_failure_reaches_the_caller_as_itself(self, cpus, monkeypatch):
         cpus(2)
@@ -721,26 +731,27 @@ class TestKernelWorkers:
         def seeded(cfg, local_dims, rank, vs):
             # the helper's slab, x >= 4 of 8, holds no mass; the rank
             # thread's slab keeps a positive density after streaming
-            field, spare = make(cfg, local_dims, rank, vs)
+            field = make(cfg, local_dims, rank, vs)
             field.interior()[4:] = 0.0
-            return field, spare
+            return field
 
         monkeypatch.setattr(runner, "_rank_fields", seeded)
         with pytest.raises(ZeroDensityError):
             run_physics(physics_cfg((8, 8, 8)), "blocking", 1)
         assert kernel_threads() == []
 
-    def test_late_helper_is_named(self, cpus, monkeypatch):
+    @pytest.mark.parametrize("phase", ["stream", "collide"])
+    def test_late_helper_is_named(self, cpus, monkeypatch, phase):
         cpus(2)
-        step = runner._slab_step
+        kernel = getattr(lattice, phase)
 
         def slow(*args):
             if threading.current_thread().name.startswith("rank-0-kernel"):
                 time.sleep(0.6)
-            step(*args)
+            kernel(*args)
 
-        monkeypatch.setattr(runner, "_slab_step", slow)
-        with pytest.raises(TransportDeadlock, match="kernel worker 1 did not finish"):
+        monkeypatch.setattr(lattice, phase, slow)
+        with pytest.raises(TransportDeadlock, match=f"kernel worker 1 did not finish its {phase} "):
             run_physics(physics_cfg((4, 4, 4), watchdog_seconds=0.2), "blocking", 1)
         assert kernel_threads() == []
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from halolab import lattice
@@ -301,21 +301,36 @@ class TestKernelsMatchReference:
         vs=st.sampled_from([D3Q19, D3Q27]),
         tau=st.floats(0.5, 2.0, exclude_min=True),
         seed=st.integers(0, 2**32 - 1),
+        in_place=st.booleans(),
+        subset=st.one_of(st.none(), st.sets(st.integers(0, 26))),
     )
+    @example(dims=(1, 4, 3), vs=D3Q27, tau=0.8, seed=5, in_place=True, subset=None)
+    @example(dims=(1, 2, 1), vs=D3Q19, tau=1.3, seed=6, in_place=True, subset={0, 2, 9, 18})
     @settings(max_examples=60)
-    def test_bit_for_bit(self, dims, vs, tau, seed):
+    def test_bit_for_bit(self, dims, vs, tau, seed, in_place, subset):
         rng = np.random.default_rng(seed)
         field = DistributionField(dims, vs.m)
         field.data[...] = rng.uniform(0.01, 1.0, size=field.data.shape)
+        streamed = _seed_stream(field, vs)
 
-        out = DistributionField(dims, vs.m)
-        out.data[...] = rng.uniform(-1e300, 1e300, size=out.data.shape)
-        out.data[rng.uniform(size=out.data.shape) < 0.3] = np.nan
+        if in_place:
+            out = field
+        else:
+            out = DistributionField(dims, vs.m)
+            out.data[...] = rng.uniform(-1e300, 1e300, size=out.data.shape)
+            out.data[rng.uniform(size=out.data.shape) < 0.3] = np.nan
+        before = out.interior_components().copy()
         shell = _shell(out.data).tobytes()
-        got = stream(field, vs, out=out)
+        components = None if subset is None else sorted(i for i in subset if i < vs.m)
+        got = stream(field, vs, out=out, components=components)
         assert got is out
-        assert np.array_equal(got.interior(), _seed_stream(field, vs).interior())
-        # stream writes no halo value: the shell keeps its bits, NaNs included
+        chosen = np.zeros(vs.m, dtype=bool)
+        chosen[list(range(vs.m)) if components is None else components] = True
+        assert np.array_equal(got.interior_components()[chosen],
+                              streamed.interior_components()[chosen])
+        # the other components keep their bits, and stream writes no halo
+        # value: the shell keeps its bits, NaNs included
+        assert got.interior_components()[~chosen].tobytes() == before[~chosen].tobytes()
         assert _shell(got.data).tobytes() == shell
 
         expected = DistributionField(dims, vs.m)
@@ -451,6 +466,7 @@ class TestKernelAllocations:
         limit = 8 * vs19.m * self.L**3
         assert self._peak(lambda: collide(f, 0.8, vs19)) < limit
         assert self._peak(lambda: stream(f, vs19, out=out)) < limit
+        assert self._peak(lambda: stream(f, vs19, out=f)) < limit
 
     def test_random_state_peak_below_one_interior(self, vs19):
         dims = (self.L,) * 3
