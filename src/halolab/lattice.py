@@ -14,14 +14,15 @@ components: ``stream`` is one shifted copy per component and writes every
 value of its output in the box and no other, so no halo value (the halo
 exchange alone writes halos, see ``halo``); its output may be its input, so
 a rank keeps one field (q values per node, not 2q), and disjoint component
-sets of one field may stream on separate threads.  ``collide`` takes
-density and momentum in one numpy call each, then relaxes each component as
-one array of the box's shape through scratch of about twelve such arrays,
-less than one box of all components; x-slabs of the interior may collide on
-separate threads for the whole-field values bit for bit (``collide`` says
-when).  ``random_state`` fills the seeded field one x-plane of random
-draws at a time; the values and the generator's state afterwards are those
-of one whole-field draw, and no temporary is as large as the interior.
+sets of one field may stream on separate threads.  ``collide`` works in
+moment space (``VelocitySet.E`` and ``A``): two small matrix products per
+pair of padded x-planes, through scratch of the box's moments plus two
+planes; each output column depends on its own input column alone, so
+x-slabs of the interior may collide on separate threads for the
+whole-field values bit for bit.  ``random_state`` fills the seeded field
+one x-plane of random draws at a time; the values and the generator's state
+afterwards are those of one whole-field draw, and no temporary is as large
+as the interior.
 Scratch lives for one call, never in the module, because ranks are threads.
 """
 
@@ -33,14 +34,21 @@ from .errors import ZeroDensityError
 
 
 class VelocitySet:
-    """A DnQm discrete-velocity stencil: vectors, weights, opposite map.
+    """A DnQm discrete-velocity stencil: vectors, weights, opposite map, and
+    the two matrices of the moment-space BGK update.
 
     Index 0 is the rest velocity, and the vectors are closed under negation,
-    so the opposite map is an involution.  Only the two module constants
-    below are built; their read-only arrays are shared by every rank.
+    so the opposite map is an involution.  ``E`` (4 x m) takes a site's
+    moments [rho, j] = E @ f: a row of ones, then e_x, e_y, e_z.  ``A``
+    (m x 10) gives its equilibrium f_eq = A @ Q, with Q = [rho, j_x, j_y,
+    j_z, j_x u_x, j_y u_y, j_z u_z, j_x u_y, j_x u_z, j_y u_z] and u = j/rho:
+    the polynomial w_i rho (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u) is linear in
+    those ten moments, with columns w, 3 w e_a, w (4.5 e_a^2 - 1.5) and
+    9 w e_a e_b.  Only the two module constants below are built; their
+    read-only arrays are shared by every rank.
     """
 
-    __slots__ = ("name", "e", "w", "opposite")
+    __slots__ = ("name", "e", "w", "opposite", "E", "A")
 
     def __init__(self, e, w, name):
         rows = [tuple(v) for v in e]
@@ -49,7 +57,12 @@ class VelocitySet:
         self.w = np.array(w, dtype=np.float64)
         self.opposite = np.array([rows.index((-x, -y, -z)) for x, y, z in rows],
                                  dtype=np.int64)
-        for arr in (self.e, self.w, self.opposite):
+        ef = self.e.astype(np.float64)
+        self.E = np.vstack([np.ones(len(rows)), ef.T])
+        wc = self.w[:, np.newaxis]
+        self.A = np.hstack([wc, 3.0 * wc * ef, wc * (4.5 * ef * ef - 1.5),
+                            9.0 * wc * ef[:, [0, 0, 1]] * ef[:, [1, 2, 2]]])
+        for arr in (self.e, self.w, self.opposite, self.E, self.A):
             arr.setflags(write=False)
 
     @property
@@ -131,108 +144,80 @@ class DistributionField:
         return f"DistributionField(dims={self.local_dims}, m={self.m})"
 
 
-def _opposite_pairs(vs):
-    """(i, j) with e_j = -e_i, one per pair, e_i's first nonzero component
-    positive; the rest velocity comes first as (0, None).  Pairs keep the
-    set's index order, so equal weights stay together in D3Q19 and D3Q27."""
-    return [(0, None)] + [
-        (i, int(vs.opposite[i]))
-        for i, v in enumerate(vs.e.tolist())
-        if i and next(c for c in v if c) > 0
-    ]
-
-
-def _equilibrium(rho, u, vs):
-    """Yield (i, f_i) for every velocity i: the BGK equilibrium of density
-    ``rho`` and velocity ``u``, one component at a time.
-
-    ``u`` is component-major, shape (3,) + rho.shape.  Per element
-
-        f_i = w_i * rho * (((1 + 3 e.u) + 4.5 (e.u)^2) - 1.5 u.u)
-
-    in this operation order, with u.u = (ux^2 + uy^2) + uz^2 and e.u the
-    signed sum of u's components in x, y, z order: exactly the values that
-    ``np.sum(u * u, axis=-1)`` and ``u @ e.T`` give site-major.  The 3 e.u and
-    4.5 (e.u)^2 terms of e_i serve -e_i as well (1 - 3 e.u, same square), and
-    rho * w_i serves every velocity of equal weight; both are exact.  Scratch
-    is six arrays of rho's shape; each f_i is one of them, which the caller
-    may overwrite before taking the next.
-    """
-    usq, eu, p, q, rw, out = (np.empty(rho.shape) for _ in range(6))
-    # usq holds 1.5 u.u; eu is scratch until the pairs need it
-    np.multiply(u[0], u[0], out=usq)
-    np.multiply(u[1], u[1], out=eu)
-    usq += eu
-    np.multiply(u[2], u[2], out=eu)
-    usq += eu
-    usq *= 1.5
-    last_w = None
-    for i, j in _opposite_pairs(vs):
-        if vs.w[i] != last_w:
-            last_w = vs.w[i]
-            np.multiply(rho, last_w, out=rw)
-        if j is None:
-            np.subtract(1.0, usq, out=out)
-            out *= rw
-            yield i, out
-            continue
-        (a, _), *rest = [(a, c) for a, c in enumerate(vs.e[i].tolist()) if c]
-        x = u[a]
-        for b, c in rest:
-            (np.add if c > 0 else np.subtract)(x, u[b], out=eu)
-            x = eu
-        np.multiply(x, 3.0, out=p)
-        np.multiply(x, 4.5, out=q)
-        q *= x
-        for k, ufunc in ((i, np.add), (j, np.subtract)):
-            ufunc(1.0, p, out=out)  # 1 + 3 e.u, and 1 - 3 e.u for -e_i
-            out += q
-            out -= usq
-            out *= rw
-            yield k, out
-
-
 def interior_box(local_dims):
     """The interior as a box: three slices of padded coordinates, 1..L."""
     return tuple(slice(1, n + 1) for n in local_dims)
+
+
+# Padded x-planes per product of ``collide``.  Two timed faster than one in
+# a two-worker D3Q19 collide at L=32, and OpenBLAS's own thread stayed idle
+# with either.  The box's moments are taken by chunks of the same width: one
+# product over a whole L=32 box woke that thread and ran 20x slower.
+_PLANES = 2
+
+
+def _second_moments(q, u):
+    """Fill rows 4..9 of ``q``, whose rows 0..3 hold [rho, j], with the six
+    products j_a u_b of ``u`` that ``VelocitySet.A`` weighs, in its order."""
+    np.multiply(q[1:4], u, out=q[4:7])
+    np.multiply(q[1], u[1:3], out=q[7:9])
+    np.multiply(q[2], u[2], out=q[9])
 
 
 def collide(field, tau, vs, box=None):
     """Relax every site of ``box`` toward local equilibrium (BGK), in place.
 
     ``box`` is three slices of padded coordinates inside the interior,
-    which is the default.  Conserves density and momentum at each site to
-    round-off.  Density ``rho`` and momentum are one numpy call each over
-    the box's site-major view; the density is checked before any write of
-    the box: a NaN or inf in any component makes its site's density
-    non-finite and raises ``FloatingPointError``; a density <= 0 raises
-    ``ZeroDensityError``.  Each component is then relaxed as one array of
-    the box's shape.  Scratch peaks at about twelve such arrays, under one
-    box of all components.  No value outside the box is read or written.
-    Boxes that partition the interior in x give the whole-field values bit
-    for bit, provided none holds a lone site of a larger interior: numpy
-    sums many sites' components one after another, a lone site's pairwise.
+    which is the default.  The update works in moment space:
+
+        f' = (1 - 1/tau) f + (A/tau) @ Q,  Q from [rho, j] = E @ f
+
+    (``VelocitySet`` gives E, A and Q).  The box's padded x-planes are one
+    (m, planes * (Ly+2)(Lz+2)) matrix whose rows lie a component stride
+    apart, so BLAS reads the store without a copy.  The box's moments come
+    from ``E @`` products, and its density is checked before any write:
+    a NaN or inf in any component makes its site's density non-finite and
+    raises ``FloatingPointError``; a density <= 0 raises
+    ``ZeroDensityError``.  Then each two padded planes take one ``A @``
+    product, and only the box's part of it is written back.  Halo columns
+    may hold anything (a density of 0, NaN); their products run with
+    floating-point warnings off and are never written.  Scratch is the
+    box's moments plus two planes.  Conserves density and momentum at each
+    site to round-off.  Every output column depends on its own input column
+    alone, so boxes that partition the interior in x give the whole-field
+    values bit for bit.
     """
     if not tau > 0.5:
         raise ValueError(f"tau={tau}: relaxation time must exceed 0.5")
-    if box is None:
-        box = interior_box(field.local_dims)
-    f = field.data[box]
-    rho = f.sum(axis=-1)
+    bx, by, bz = interior_box(field.local_dims) if box is None else box
+    m, _, ny, nz = field.store.shape
+    f = field.store[:, bx].reshape(m, -1)
+    width = _PLANES * ny * nz
+    mom = np.empty((4, f.shape[1]))
+    with np.errstate(all="ignore"):
+        for c in range(0, f.shape[1], width):
+            np.matmul(vs.E, f[:, c:c + width], out=mom[:, c:c + width])
+    rho = mom[0].reshape(-1, ny, nz)[:, by, bz]
     if not np.isfinite(rho).all():
         raise FloatingPointError("collide on a non-finite field")
     if np.any(rho <= 0.0):
         raise ZeroDensityError("collide needs strictly positive density")
-    mom = f @ vs.e.astype(np.float64)
-    u = np.empty((3,) + rho.shape)
-    np.divide(mom.transpose(3, 0, 1, 2), rho, out=u)
-    del mom
-    fc = field.store[(slice(None),) + box]
-    for i, feq in _equilibrium(rho, u, vs):
-        fi = fc[i]
-        np.subtract(fi, feq, out=feq)
-        np.divide(feq, tau, out=feq)
-        np.subtract(fi, feq, out=fi)
+    a = vs.A / tau
+    keep = 1.0 - 1.0 / tau
+    q, u = np.empty((10, width)), np.empty((3, width))
+    out, kept = np.empty((m, width)), np.empty((m, width))
+    for c in range(0, f.shape[1], width):
+        n = min(width, f.shape[1] - c)
+        qc, uc, oc, kc = q[:, :n], u[:, :n], out[:, :n], kept[:, :n]
+        qc[:4] = mom[:, c:c + n]
+        with np.errstate(all="ignore"):
+            np.divide(qc[1:4], qc[0], out=uc)
+            _second_moments(qc, uc)
+            np.matmul(a, qc, out=oc)
+            np.multiply(f[:, c:c + n], keep, out=kc)
+            oc += kc
+        x = bx.start + c // (ny * nz)
+        field.store[:, x:x + n // (ny * nz), by, bz] = oc.reshape(m, -1, ny, nz)[:, :, by, bz]
 
 
 def stream(field, vs, out=None, box=None, components=None):
@@ -276,21 +261,28 @@ def random_state(local_dims, vs, rng, du=0.02):
 
     Density and velocity are drawn whole; the site-major (x, y, z, i) kick is
     drawn one x-plane at a time, which gives the same values, and leaves
-    ``rng`` in the same state, as one whole-field draw.  No temporary is as
-    large as the interior.
+    ``rng`` in the same state, as one whole-field draw.  Each x-plane's
+    equilibrium is one ``A @`` product (``VelocitySet``, with j = rho u) over
+    the padded plane, whose halo columns of Q are zero and give zeros, so a
+    product never has the lone column that numpy would hand to gemv, whose
+    sums round otherwise.  No temporary is as large as the
+    interior.
     """
     field = DistributionField(local_dims, vs.m)
     lx, ly, lz = shape = field.local_dims
     rho = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=shape)
     u = np.ascontiguousarray(
         (du * rng.uniform(-1.0, 1.0, size=shape + (3,))).transpose(3, 0, 1, 2))
+    q = np.zeros((10, ly + 2, lz + 2))
+    qi = q[:, 1:-1, 1:-1]
     fc = field.interior_components()
-    # 1 + 0.05 * kick, plane by plane into the store, then times feq
     for x in range(lx):
+        qi[0] = rho[x]
+        np.multiply(rho[x], u[:, x], out=qi[1:4])
+        _second_moments(qi, u[:, x])
+        np.matmul(vs.A, q.reshape(10, -1), out=field.store[:, x + 1].reshape(vs.m, -1))
         kick = rng.uniform(-1.0, 1.0, size=(ly, lz, vs.m))
         kick *= 0.05
         kick += 1.0
-        fc[:, x] = kick.transpose(2, 0, 1)
-    for i, feq in _equilibrium(rho, u, vs):
-        fc[i] *= feq
+        fc[:, x] *= kick.transpose(2, 0, 1)
     return field

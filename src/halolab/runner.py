@@ -161,9 +161,8 @@ def kernel_slabs(local_dims, nranks):
     """The x-slabs, as boxes, that a rank's kernel workers collide, one per
     worker: ``w = min(usable_cpus() // nranks, Lx, sites //
     KERNEL_MIN_SITES)`` workers, at least one, with slab widths differing
-    by at most one plane.  With ``KERNEL_MIN_SITES`` >= 2 no slab holds a
-    lone site unless the interior does, so the slabs give the whole-field
-    values bit for bit (``lattice.collide``)."""
+    by at most one plane.  The slabs give the whole-field values bit for
+    bit (``lattice.collide``)."""
     lx, ly, lz = local_dims
     w = max(1, min(usable_cpus() // nranks, lx, lx * ly * lz // KERNEL_MIN_SITES))
     _, by, bz = lattice.interior_box(local_dims)

@@ -5,26 +5,37 @@ endpoint that logs its calls, and sweep reports."""
 import numpy as np
 
 from halolab.errors import ZeroDensityError
-from halolab.lattice import _equilibrium
 
 
-def equilibrium(rho, u, vs):
-    """Second-order polynomial equilibrium distribution.
+def equilibrium(rho, u, vs, j=None):
+    """Second-order polynomial equilibrium distribution, in moment space.
 
-    f_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u).  Broadcasts over
-    leading axes: rho (...,), u (..., 3) -> (..., m).  Zeroth and first
-    moments reproduce rho and rho*u to round-off for |u| well below 1.
+    f_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 u.u), taken as
+    ``vs.A @ Q`` with Q = [rho, j, j_a u_b] (``VelocitySet``) and j = rho*u
+    unless the momentum ``j`` is given.  Broadcasts over leading axes: rho
+    (...,), u and j (..., 3) -> (..., m).  Zeroth and first moments
+    reproduce rho and rho*u to round-off for |u| well below 1.  A product
+    of one column would go to gemv, whose sums round otherwise than gemm's,
+    so Q has at least two, and any leading shape gives the same bits as
+    ``collide`` and ``random_state``.
     """
     rho = np.asarray(rho, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if np.any(rho <= 0.0):
         raise ZeroDensityError("equilibrium needs strictly positive density")
     lead = np.broadcast_shapes(rho.shape, u.shape[:-1])
-    feq = np.empty(lead + (vs.m,))
-    u = np.moveaxis(np.broadcast_to(u, lead + (3,)), -1, 0)
-    for i, fi in _equilibrium(np.broadcast_to(rho, lead), u, vs):
-        feq[..., i] = fi
-    return feq
+    n = int(np.prod(lead))
+    q = np.zeros((10, max(n, 2)))
+    u = np.moveaxis(np.broadcast_to(u, lead + (3,)), -1, 0).reshape(3, n)
+    q[0, :n] = np.broadcast_to(rho, lead).ravel()
+    if j is None:
+        np.multiply(q[0, :n], u, out=q[1:4, :n])
+    else:
+        q[1:4, :n] = np.moveaxis(np.broadcast_to(j, lead + (3,)), -1, 0).reshape(3, n)
+    q[4:7, :n] = q[1:4, :n] * u
+    q[7:9, :n] = q[1, :n] * u[1:3]
+    q[9, :n] = q[2, :n] * u[2]
+    return np.moveaxis((vs.A @ q)[:, :n].reshape((vs.m,) + lead), 0, -1)
 
 
 def total_mass(field):
