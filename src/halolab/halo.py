@@ -1,17 +1,15 @@
-"""Halo-exchange protocols over the transport fabric.
+"""Halo-exchange protocols over the transport fabric: two schedules, one engine.
 
-Two strategies fill the one-site halo shell of a DistributionField:
+Two strategies fill the one-site halo shell of a DistributionField, each
+a schedule of rounds fixed once per rank by HaloBuffers:
 
-* staged blocking: three stages (X, then Y, then Z) of two messages each.
+* blocking: three rounds, the X, Y and Z stages, of two messages each.
   The Y stage sends (Lx+2)*Lz columns including the X halo just received
   and the Z stage sends full (Lx+2)*(Ly+2) slabs; this transitive
   forwarding is what lets 6 messages deliver all 26 neighbour
   contributions and must not be trimmed to interior-only buffers.
-* non-blocking: 26 direct messages (6 planes, 12 edges, 8 corners), split
-  into a start (post all receives, pack and post each send, no wait of
-  any kind) and an end (drain the receives via wait_any, unpacking each
-  plane into the halo shell as it arrives and the edges and corners
-  together once the last receive is in, then drain the sends).
+* non-blocking: one direct round of 26 messages (6 planes, 12 edges,
+  8 corners).
 
 One rule gives the geometry of all 32 messages.  A message is a
 displacement ``d`` toward its peer plus the number ``whole`` of leading
@@ -37,17 +35,20 @@ Every exchange rewrites each halo value that faces a neighbour before
 ``stream`` reads it.  A value past an open edge is 0.0 from allocation on:
 the only writes that reach it are the blocking stages' forwarded zeros.
 
-Each strategy is a (start, end) pair in ``STRATEGIES``: blocking's start
-is the whole staged exchange and its end has nothing left to do, the way
-MPI treats a blocking call as a request that is already complete.
-``exchange`` runs the start and then the end; ``overlap.step_with_overlap``
-and the benchmark step put their work between the two.
+One engine runs both.  ``_post`` posts a round's receives, so that every
+send can match at once, then packs and posts each send; ``_complete``
+waits for the round and unpacks it, and only then is the next round
+posted.  A start posts the first round and completes as many rounds as
+its strategy says (blocking three, non-blocking none); ``exchange_end``
+completes the rest, draining each round so that work put between the
+start and the end overlaps it.  A start that leaves nothing returns None,
+like MPI's null request, and the end does nothing on it.
 
-HaloBuffers fixes every message of both strategies once per rank: peer,
+HaloBuffers fixes every message of both schedules once per rank: peer,
 message ids, send and halo slices, a send buffer and a receive buffer
-(its inbox), each with the byte view that is posted.  Per strategy the
+(its inbox), each with the byte view that is posted.  Per schedule the
 send buffers are consecutive slices of one send arena and the inboxes of
-one receive arena; the strategies share the two arenas, so a HaloBuffers
+one receive arena; the schedules share the two arenas, so a HaloBuffers
 runs one exchange at a time, and a start while a non-blocking exchange
 has not ended is a UsageError.  A message is packed into its send
 buffer, posted without a copy, copied once by the fabric on delivery into
@@ -55,14 +56,15 @@ the receiver's inbox and unpacked from there into the halo slice; a send
 buffer is not rewritten before its send has completed, nor an inbox read
 before its receive has.
 
-The pack rule.  A plane carries Ly*Lz sites or the like, so its cost
-grows as L^2 and each plane is packed and unpacked by its own copy
-through ``data``.  An edge carries L sites and a corner one, so at any L
-these 20 cost what a numpy call costs, not what their bytes cost; they
-are packed by one gather and unpacked by one scatter through flat
-indices into the field's ``store``.  Their buffers follow the planes',
-so the gather fills, and the scatter reads, one contiguous run.  The blocking
-strategy packs and unpacks each of its 6 messages by its own copy.
+The pack rule.  A round copies its leading messages: each is packed and
+unpacked by its own copy through ``data``.  It gathers the rest: one
+gather packs them and one scatter unpacks them, through flat indices into
+the field's ``store``, and their buffers end the round's run of each
+arena, so the gather fills, and the scatter reads, one contiguous run.  A
+plane carries Ly*Lz sites or the like, so its cost grows as L^2, and the
+direct round copies its 6 planes.  An edge carries L sites and a corner
+one, so at any L these 20 cost what a numpy call costs, not what their
+bytes cost, and the direct round gathers them.  The stages copy all 6.
 
 Pack order is canonical: ascending (x, y, z) site order, ascending
 component within a site.  Buffers are C-ordered (x, y, z, component)
@@ -83,7 +85,6 @@ matched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import NamedTuple
@@ -104,11 +105,12 @@ GROUP_PLANES, GROUP_EDGES, GROUP_CORNERS = (
     tuple(i for i, d in enumerate(DISPLACEMENTS) if sum(map(abs, d)) == n) for n in (1, 2, 3)
 )
 
-_STAGE_NAMES = ("X", "Y", "Z")
-
 # the 6 staged displacements in send order: the k-th is stage k // 2 toward
 # -1 (k even) or +1 (k odd), sent with id 26 + k
 _STAGED = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
+
+# message id -> index of the displacement toward the message's peer
+_TOWARD = tuple(range(26)) + tuple(displacement_index(d) for d in _STAGED)
 
 
 @lru_cache(maxsize=64)
@@ -164,22 +166,6 @@ class Message(NamedTuple):
     inbox_view: memoryview
 
 
-def _messages(specs, m, out, inbox):
-    """The Messages of (peer, send_id, recv_id, plan entry) specs, in order;
-    their buffers and inboxes are consecutive slices of the arenas ``out``
-    and ``inbox`` from the start."""
-    out_bytes, in_bytes = memoryview(out).cast("B"), memoryview(inbox).cast("B")
-    messages, a = [], 0
-    for peer, send_id, recv_id, (send, halo, extent) in specs:
-        shape = extent + (m,)
-        b = a + prod(shape)
-        messages.append(Message(peer, send_id, recv_id, send, halo,
-                                out[a:b].reshape(shape), out_bytes[8 * a:8 * b],
-                                inbox[a:b].reshape(shape), in_bytes[8 * a:8 * b]))
-        a = b
-    return messages
-
-
 @lru_cache(maxsize=64)
 def _gather_plan(local_dims, m, ids):
     """Flat store indices (send, halo) of the direct messages ``ids``, in
@@ -199,18 +185,52 @@ def _gather_plan(local_dims, m, ids):
     return tuple(indices)
 
 
-class HaloBuffers:
-    """Persistent staging arrays and message plans for one rank's exchanges.
+class Round(NamedTuple):
+    """One round of a schedule: its ``messages`` in post order, ``copied``
+    then ``gathered`` (see the pack rule), and the gather's flat store
+    indices ``send_index`` into ``buffer`` and the scatter's from ``inbox``
+    to ``halo_index``, the gathered messages' run of each arena."""
 
-    ``direct`` holds the active messages of the 26-message exchange in post
-    order (planes, edges, corners) and ``stages`` the active messages of
-    each blocking stage; peers past an open edge are left out.  Their
-    buffers share the two arenas (see above), and ``token`` holds the
-    non-blocking exchange in flight, or None.  The first ``planes`` direct
-    messages are the planes; the rest, the edges and corners, are packed by
-    one gather of ``send_index`` into ``gathered`` and unpacked by one
-    scatter of ``scattered`` to ``halo_index``, both flat indices of the
-    field's ``store``.
+    name: str
+    messages: list
+    copied: list
+    gathered: list
+    send_index: np.ndarray
+    halo_index: np.ndarray
+    buffer: np.ndarray
+    inbox: np.ndarray
+
+
+def _schedule(rounds, local_dims, m, out, inbox):
+    """The Rounds of (name, specs, copied) triples; a spec is (peer, send_id,
+    recv_id, plan entry).  Buffers and inboxes are consecutive slices of the
+    arenas ``out`` and ``inbox`` from the start, in message order."""
+    out_bytes, in_bytes = memoryview(out).cast("B"), memoryview(inbox).cast("B")
+    schedule, a = [], 0
+    for name, specs, copied in rounds:
+        messages = []
+        for peer, send_id, recv_id, (send, halo, extent) in specs:
+            shape = extent + (m,)
+            b = a + prod(shape)
+            messages.append(Message(peer, send_id, recv_id, send, halo,
+                                    out[a:b].reshape(shape), out_bytes[8 * a:8 * b],
+                                    inbox[a:b].reshape(shape), in_bytes[8 * a:8 * b]))
+            a = b
+        gathered = messages[copied:]
+        send_index, halo_index = _gather_plan(local_dims, m, tuple(msg.send_id for msg in gathered))
+        run = slice(a - send_index.size, a)
+        schedule.append(Round(name, messages, messages[:copied], gathered,
+                              send_index, halo_index, out[run], inbox[run]))
+    return schedule
+
+
+class HaloBuffers:
+    """Persistent staging arrays and message schedules for one rank's exchanges.
+
+    ``schedules`` maps "blocking" to the X, Y and Z stages and
+    "nonblocking" to the direct round (planes, then edges and corners).
+    Rounds hold active messages only: peers past an open edge are left out.
+    ``token`` holds the exchange in flight, or None.
     """
 
     def __init__(self, topo, rank, local_dims, m, endpoint):
@@ -226,28 +246,24 @@ class HaloBuffers:
             for idx in GROUP_PLANES + GROUP_EDGES + GROUP_CORNERS
             if full[idx] != NO_NEIGHBOUR
         ]
+        planes = sum(idx in GROUP_PLANES for _, idx, _, _ in specs)
         # the halo on each side carries the neighbour's opposite-travel send
         peers = [full[displacement_index(d)] for d in _STAGED]
-        staged_specs = [(peers[k], 26 + k, 26 + (k ^ 1), staged[k])
-                        for k in range(6) if peers[k] != NO_NEIGHBOUR]
-        direct_size, staged_size = (
-            m * sum(prod(extent) for *_, (_, _, extent) in group) for group in (specs, staged_specs))
-        # one exchange is in flight at a time, so the two strategies share
+        stages = [[(peers[k], 26 + k, 26 + (k ^ 1), staged[k])
+                   for k in (2 * dim, 2 * dim + 1) if peers[k] != NO_NEIGHBOUR]
+                  for dim in range(3)]
+        # one exchange is in flight at a time, so the two schedules share
         # the arenas; left unset, since a send buffer is packed before it is
         # posted and an inbox is read only after its delivery
-        size = max(direct_size, staged_size)
+        size = m * max(sum(prod(extent) for *_, (_, _, extent) in group)
+                       for group in (specs, sum(stages, [])))
         arena = np.empty(2 * size)
         out, inbox = arena[:size], arena[size:]
-        self.direct = _messages(specs, m, out, inbox)
-        self.planes = sum(idx in GROUP_PLANES for _, idx, _, _ in specs)
-        self.send_index, self.halo_index = _gather_plan(
-            dims, m, tuple(idx for _, idx, _, _ in specs[self.planes:]))
-        # the edges and corners end the direct messages
-        tail = slice(direct_size - self.send_index.size, direct_size)
-        self.gathered, self.scattered = out[tail], inbox[tail]
-        staged_msgs = _messages(staged_specs, m, out, inbox)
-        self.stages = [[msg for msg in staged_msgs if (msg.send_id - 26) // 2 == dim]
-                       for dim in range(3)]
+        self.schedules = {
+            "blocking": _schedule([(f"{axis} stage", group, len(group))
+                                   for axis, group in zip("XYZ", stages)], dims, m, out, inbox),
+            "nonblocking": _schedule([("direct round", specs, planes)], dims, m, out, inbox),
+        }
         self.token = None
 
     def check_field(self, field):
@@ -258,125 +274,106 @@ class HaloBuffers:
             )
 
 
-@dataclass
-class ExchangeToken:
-    """In-flight non-blocking exchange: its receive and send handles, both
-    in ``buffers.direct`` order."""
-
-    recvs: list
-    sends: list
-
-
-def _check_idle(field, buffers):
-    buffers.check_field(field)
-    if buffers.token is not None:
-        raise UsageError("a non-blocking exchange on these buffers has not ended")
-
-
-def _post_receives(ep, messages):
-    return [ep.post_recv(msg.peer, msg.recv_id, msg.inbox_view) for msg in messages]
-
-
-def _post_sends(ep, messages, data=None):
-    """Post each message's send, packing it from ``data`` first unless
-    ``data`` is None (already packed)."""
-    handles = []
-    for msg in messages:
-        if data is not None:
-            msg.buffer[...] = data[msg.send_slices]
+def _post(ep, rnd, field):
+    """Post the round's receives, then pack and post each send; returns the
+    handles, the receives and then the sends, each in message order."""
+    handles = [ep.post_recv(msg.peer, msg.recv_id, msg.inbox_view) for msg in rnd.messages]
+    data = field.data
+    for msg in rnd.copied:
+        msg.buffer[...] = data[msg.send_slices]
         handles.append(ep.post_send(msg.peer, msg.send_id, msg.view))
+    if rnd.gathered:
+        np.take(field.store, rnd.send_index, out=rnd.buffer, mode="clip")
+        handles += [ep.post_send(msg.peer, msg.send_id, msg.view) for msg in rnd.gathered]
     return handles
 
 
-def exchange_nonblocking_start(field, topo, buffers):
-    """Post the receives, then pack and post each send; never waits.
+def _complete(ep, rnd, handles, field, drain):
+    """Wait for the posted round and unpack it: by one wait_all, or in the
+    end (``drain``) by wait_any over working copies of the handle lists,
+    popping each handle it returns so every call scans only those in flight."""
+    data = field.data
+    try:
+        if drain:
+            # the copied messages still in flight lead both lists
+            n = len(rnd.messages)
+            pending, sends, landing = handles[:n], handles[n:], list(rnd.copied)
+            copied = len(landing)
+            while pending:
+                i = ep.wait_any(pending)
+                del pending[i]
+                if i < copied:
+                    copied -= 1
+                    msg = landing.pop(i)
+                    data[msg.halo_slices] = msg.inbox
+            while sends:
+                sends.pop(ep.wait_any(sends))
+        else:
+            ep.wait_all(handles)
+            for msg in rnd.copied:
+                data[msg.halo_slices] = msg.inbox
+    except TransportDeadlock as exc:
+        outstanding = sorted(HaloNeighbour(_TOWARD[msg.send_id]).name
+                             for msg, h in zip(rnd.messages, handles) if h.state == "pending")
+        raise TransportDeadlock(
+            f"blocked in {rnd.name}; outstanding receives: {outstanding}", pending=exc.pending
+        ) from exc
+    # as in _post, a round that gathers nothing skips the call: three empty
+    # scatters with their flat views cost ~1.4 us, 4 % of blocking at L=4
+    if rnd.gathered:
+        field.store.reshape(-1)[rnd.halo_index] = rnd.inbox
 
-    Receives go up first so every send can match immediately.  Each plane
-    is posted as soon as its buffer is packed; then one gather packs the
-    edges and corners and their sends are posted.  Returns the token for
-    exchange_nonblocking_end.
-    """
-    _check_idle(field, buffers)
-    ep = buffers.endpoint
-    direct = buffers.direct
-    recvs = _post_receives(ep, direct)
-    sends = _post_sends(ep, direct[:buffers.planes], field.data)
-    np.take(field.store.reshape(-1), buffers.send_index, out=buffers.gathered, mode="clip")
-    sends += _post_sends(ep, direct[buffers.planes:])
-    buffers.token = ExchangeToken(recvs, sends)
+
+def _advance(ep, rounds, handles, field, count, drain):
+    """Complete ``count`` of ``rounds``, the first posted with ``handles``,
+    posting each next; returns the token (rounds left, handles) or None."""
+    for k in range(count):
+        _complete(ep, rounds[k], handles, field, drain)
+        if k + 1 == len(rounds):
+            return None
+        handles = _post(ep, rounds[k + 1], field)
+    return rounds[count:], handles
+
+
+def _start(field, buffers, strategy, completed):
+    """Post the strategy's first round and complete ``completed`` rounds."""
+    buffers.check_field(field)
+    if buffers.token is not None:
+        raise UsageError("a non-blocking exchange on these buffers has not ended")
+    ep, rounds = buffers.endpoint, buffers.schedules[strategy]
+    buffers.token = _advance(ep, rounds, _post(ep, rounds[0], field), field, completed, False)
     return buffers.token
 
 
-def exchange_nonblocking_end(token, field, buffers):
-    """Drain the receives via repeated wait_any, unpacking each plane as it
-    arrives and scattering the edges and corners once the last receive has
-    been consumed, then drain the sends.
-
-    Each drain runs over a shrinking working copy of its handle list: the
-    handle that wait_any returns is popped (with its message), so every
-    call scans only handles still in flight.  ``token`` is left intact.
-    """
+def exchange_end(token, field, buffers):
+    """Complete the rounds a start left, each by the end's drain; does
+    nothing on None, the token of a start that completed its exchange."""
+    if token is None:
+        return
     buffers.check_field(field)
     if token is not buffers.token:
         raise UsageError("exchange token is not the exchange in flight on these buffers")
-    ep = buffers.endpoint
-    data = field.data
-    recvs = list(token.recvs)
-    messages = list(buffers.direct)
-    planes = buffers.planes  # the planes still in flight lead both lists
-    try:
-        while recvs:
-            i = ep.wait_any(recvs)
-            del recvs[i]
-            msg = messages.pop(i)
-            if i < planes:
-                planes -= 1
-                data[msg.halo_slices] = msg.inbox
-    except TransportDeadlock as exc:
-        # the drain has popped every consumed receive, so what is left is outstanding
-        outstanding = sorted(HaloNeighbour(msg.send_id).name for msg in messages)
-        raise TransportDeadlock(
-            f"non-blocking end stalled; outstanding receives: {outstanding}",
-            pending=exc.pending,
-        ) from exc
-    field.store.reshape(-1)[buffers.halo_index] = buffers.scattered
-    sends = list(token.sends)
-    while sends:
-        sends.pop(ep.wait_any(sends))
-    buffers.token = None
+    rounds, handles = token
+    buffers.token = _advance(buffers.endpoint, rounds, handles, field, len(rounds), True)
 
 
 def exchange_blocking(field, topo, buffers):
-    """Staged 6-message exchange: per dimension post receives, pack, send, wait.
-
-    Each stage blocks on its own wait_all before the next begins, so the
-    whole exchange waits exactly three times.
-    """
-    _check_idle(field, buffers)
-    ep = buffers.endpoint
-    data = field.data
-    for dim, messages in enumerate(buffers.stages):
-        recvs = _post_receives(ep, messages)
-        sends = _post_sends(ep, messages, data)
-        try:
-            ep.wait_all(recvs + sends)
-        except TransportDeadlock as exc:
-            raise TransportDeadlock(
-                f"blocked in {_STAGE_NAMES[dim]} stage: {exc}", pending=exc.pending
-            ) from exc
-        for msg in messages:
-            data[msg.halo_slices] = msg.inbox
+    """The whole staged exchange, each stage waiting once; returns None."""
+    return _start(field, buffers, "blocking", 3)
 
 
-def _nothing_to_end(token, field, buffers):
-    """Blocking's end: its start has already completed the exchange."""
+def exchange_nonblocking_start(field, topo, buffers):
+    """Post the 26 direct messages, never waiting; returns their token."""
+    return _start(field, buffers, "nonblocking", 0)
 
+
+exchange_nonblocking_end = exchange_end
 
 # strategy name -> (start, end); ``end(start(field, topo, buffers), field, buffers)``
 # is one full exchange, and work put between the two overlaps it
 STRATEGIES = {
-    "blocking": (exchange_blocking, _nothing_to_end),
-    "nonblocking": (exchange_nonblocking_start, exchange_nonblocking_end),
+    "blocking": (exchange_blocking, exchange_end),
+    "nonblocking": (exchange_nonblocking_start, exchange_end),
 }
 
 

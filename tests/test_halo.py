@@ -21,6 +21,7 @@ from halolab.halo import (
     blocking_message_sites,
     exchange,
     exchange_blocking,
+    exchange_end,
     exchange_nonblocking_end,
     exchange_nonblocking_start,
     nonblocking_message_sites,
@@ -83,11 +84,13 @@ class TestMessageGeometry:
     def test_inventory_matches_sent_bytes(self, dims, m):
         _, buffers = single_rank_buffers(dims, m)
         direct, staged = nonblocking_message_sites(dims), blocking_message_sites(dims)
-        assert len(buffers.direct) == 26
-        for msg in buffers.direct:
+        messages = buffers.schedules["nonblocking"][0].messages
+        assert len(messages) == 26
+        for msg in messages:
             assert direct[msg.send_id] * 8 * m == len(msg.view)
-        assert [len(stage) for stage in buffers.stages] == [2, 2, 2]
-        for stage in buffers.stages:
+        stages = [rnd.messages for rnd in buffers.schedules["blocking"]]
+        assert [len(stage) for stage in stages] == [2, 2, 2]
+        for stage in stages:
             for msg in stage:
                 assert staged[msg.send_id - 26] * 8 * m == len(msg.view)
 
@@ -119,7 +122,9 @@ class TestSingleRankExchange:
             return f, buffers
 
         f, buffers = run_ranks(1, body, watchdog_seconds=5.0)[0]
-        assert buffers.direct == [] and buffers.stages == [[], [], []]
+        schedules = buffers.schedules
+        assert schedules["nonblocking"][0].messages == []
+        assert [rnd.messages for rnd in schedules["blocking"]] == [[], [], []]
         assert not halo_shell(f).any()
         assert (buffers.endpoint.sends, buffers.endpoint.bytes_sent) == (0, 0)
 
@@ -177,12 +182,18 @@ class TestSingleRankExchange:
         topo = CartesianTopology((1, 1, 1))
 
         def body(ctx):
-            log = CallLog(ctx.endpoint)
-            exchange_blocking(random_field(dims, m, 2), topo, HaloBuffers(topo, 0, dims, m, log))
-            return log.calls
+            f, log = random_field(dims, m, 2), CallLog(ctx.endpoint)
+            buffers = HaloBuffers(topo, 0, dims, m, log)
+            token = exchange_blocking(f, topo, buffers)
+            started = list(log.calls)
+            # the null request: the end of a completed exchange posts and waits nothing
+            exchange_end(None, f, buffers)
+            return token, started, log.calls[len(started):]
 
-        calls = run_ranks(1, body, watchdog_seconds=5.0)[0]
+        token, calls, ended = run_ranks(1, body, watchdog_seconds=5.0)[0]
         assert calls == ["post_recv", "post_recv", "post_send", "post_send", "wait_all"] * 3
+        assert token is None and ended == []
+        assert STRATEGIES["blocking"][1] is STRATEGIES["nonblocking"][1]
 
     def test_end_twice_is_usage_error(self):
         dims, m = (2, 2, 2), 3
@@ -373,9 +384,9 @@ class TestWireContent:
 
         buffers = run_ranks(1, body, watchdog_seconds=5.0)[0]
         if strategy == "blocking":
-            messages = [msg for stage in buffers.stages for msg in stage]
+            messages = [msg for rnd in buffers.schedules["blocking"] for msg in rnd.messages]
         else:
-            messages = buffers.direct
+            messages = buffers.schedules["nonblocking"][0].messages
         assert len(messages) == (6 if strategy == "blocking" else 26)
         for msg in messages:
             assert bytes(msg.view) == np.ascontiguousarray(ref[msg.send_slices]).tobytes()
@@ -416,7 +427,7 @@ class TestDirectWireContent:
             buffers = HaloBuffers(topo, ctx.rank, dims, m, ep)
             exchange(f, topo, buffers, "nonblocking")
             expected = {msg.send_id: (msg.peer, np.ascontiguousarray(f.data[msg.send_slices]).tobytes())
-                        for msg in buffers.direct}
+                        for msg in buffers.schedules["nonblocking"][0].messages}
             return expected, ep.sent
 
         for rank, (expected, sent) in enumerate(run_ranks(topo.nranks, body, watchdog_seconds=10.0)):
@@ -568,6 +579,26 @@ class TestDeadlockAnnotation:
         }
         assert len(named) == 18
 
+    @pytest.mark.parametrize("strategy, stalled, named", [
+        ("blocking", "X stage", ["NMM", "PMM"]),
+        ("nonblocking", "direct round",
+         sorted(HaloNeighbour(i).name for i, d in enumerate(DISPLACEMENTS) if d[0] != 0)),
+    ], ids=["blocking", "nonblocking"])
+    def test_stall_names_its_round_and_outstanding_receives(self, strategy, stalled, named):
+        # rank 1 never participates; only the receives from it stay outstanding
+        topo = CartesianTopology((2, 1, 1))
+
+        def body(ctx):
+            if ctx.rank == 1:
+                return None
+            f = random_field((2, 2, 2), 2, 0)
+            exchange(f, topo, HaloBuffers(topo, 0, (2, 2, 2), 2, ctx.endpoint), strategy)
+
+        with pytest.raises(TransportDeadlock) as err:
+            run_ranks(2, body, watchdog_seconds=0.4)
+        message = str(err.value)
+        assert f"blocked in {stalled}; outstanding receives: " in message
+        assert ast.literal_eval(message.split("outstanding receives: ")[1]) == named
 
     @pytest.mark.parametrize("sleep_s", [0.8, 3.0])
     def test_rank_missing_the_barrier_is_named(self, sleep_s):
